@@ -1,9 +1,9 @@
 """Command-line front end: mode data, entanglement summaries, boosted fields,
 parton marginals, parameter sweeps, and the self-verification report.
 
-All numeric output is rendered at 15 significant digits (%.15g), CSV is
-UTF-8 with LF line endings and a header row, and every command is
-deterministic: the same invocation produces the same bytes.
+All numeric output is rendered at 15 significant digits; every CSV is
+written by numerics.write_csv (UTF-8, LF line endings, a header row), and
+every command is deterministic: the same invocation produces the same bytes.
 
 Exit codes: 0 success, 1 domain or data error (bad physics parameters,
 unreadable overlay, failed verification), 2 usage error.
@@ -16,8 +16,8 @@ import sys
 
 import numpy as np
 
-from . import covariant, entanglement, oscillator, parton, verify
-from .numerics import oracle_reduced_density, uniform_grid
+from . import covariant, entanglement, oscillator, parton
+from .numerics import oracle_reduced_density, uniform_grid, write_csv
 
 _PROG = "coupledosc"
 
@@ -81,10 +81,7 @@ def cmd_entangle(args) -> int:
         args.out,
     )
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8", newline="") as fh:
-            fh.write("k,p_k\n")
-            for k, p in enumerate(rs.eigenvalues):
-                fh.write(f"{k},{p:.15g}\n")
+        write_csv(args.csv, ("k", "p_k"), (np.arange(rs.eigenvalues.size), rs.eigenvalues))
     if args.kernel_csv:
         kern = oracle_reduced_density(args.eta, uniform_grid(args.grid, args.extent))
         kern.to_csv(args.kernel_csv)
@@ -93,17 +90,13 @@ def cmd_entangle(args) -> int:
 
 def cmd_boost(args) -> int:
     nodes = np.linspace(-args.extent, args.extent, args.grid)
-    A, B = np.meshgrid(nodes, nodes, indexing="ij")
-    psi = covariant.boosted_wavefunction(A, B, args.eta)
-    phi = covariant.momentum_wavefunction(A, B, args.eta)
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write("z,t,psi,qz,q0,phi\n")
-        for i in range(args.grid):
-            for j in range(args.grid):
-                fh.write(
-                    f"{A[i, j]:.15g},{B[i, j]:.15g},{psi[i, j]:.15g},"
-                    f"{A[i, j]:.15g},{B[i, j]:.15g},{phi[i, j]:.15g}\n"
-                )
+    z, t = nodes[:, None], nodes[None, :]
+    psi = covariant.boosted_wavefunction(z, t, args.eta)
+    phi = covariant.momentum_wavefunction(z, t, args.eta)
+    # self-duality makes the columns bit-equal, so psi is rendered once for both
+    if np.array_equal(psi.view(np.int64), phi.view(np.int64)):
+        phi = psi
+    write_csv(args.out, ("z", "t", "psi", "qz", "q0", "phi"), (z, t, psi, z, t, phi))
     return 0
 
 
@@ -113,37 +106,37 @@ def cmd_parton(args) -> int:
         shift, scale = args.rescale if args.rescale else (0.0, 1.0)
         coords = shift + scale * series.x
         dens = parton.model_density(args.eta, coords)
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write("coordinate,model_density,overlay_value\n")
-            for xi, di, vi in zip(coords, dens, series.values):
-                fh.write(f"{xi:.15g},{di:.15g},{vi:.15g}\n")
+        header = ("coordinate", "model_density", "overlay_value")
+        write_csv(args.out, header, (coords, dens, series.values))
     else:
         parton.export_gaussian_pdf(args.eta, args.n, args.out)
     return 0
 
 
-def _write_sweep(fh, start: float, stop: float, steps: int, k_max: int, omega: float) -> None:
-    fh.write("eta,purity,entropy,T,width_z,width_qz\n")
-    for eta in np.linspace(start, stop, steps):
-        eta = float(eta)
+def _write_sweep(dest, start: float, stop: float, steps: int, omega: float) -> None:
+    etas = np.linspace(start, stop, steps)
+
+    def temperature(eta):
         if eta == 0.0:
-            temp = 0.0
-        else:
-            temp = entanglement.effective_temperature(eta, omega=omega).temperature
-        w = parton.width(eta)
-        fh.write(
-            f"{eta:.15g},{entanglement.purity(eta):.15g},{entanglement.entropy(eta):.15g},"
-            f"{temp:.15g},{w:.15g},{w:.15g}\n"
-        )
+            return 0.0
+        return entanglement.effective_temperature(eta, omega=omega).temperature
+
+    purity, entropy, temp, width = (
+        np.fromiter(map(f, etas), float, count=steps)
+        for f in (entanglement.purity, entanglement.entropy, temperature, parton.width)
+    )
+    header = ("eta", "purity", "entropy", "T", "width_z", "width_qz")
+    write_csv(dest, header, (etas, purity, entropy, temp, width, width))
 
 
 def cmd_sweep(args) -> int:
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        _write_sweep(fh, args.start, args.stop, args.steps, args.kmax, args.omega)
+    _write_sweep(args.out, args.start, args.stop, args.steps, args.omega)
     return 0
 
 
 def cmd_verify(args) -> int:
+    from . import verify
+
     report = verify.run_all()
     for r in report.checks:
         status = "PASS" if r.passed else "FAIL"
@@ -154,7 +147,7 @@ def cmd_verify(args) -> int:
     n_pass = sum(1 for r in report.checks if r.passed)
     print(f"overall: {'PASS' if report.overall_pass else 'FAIL'} ({n_pass}/{len(report.checks)} checks)")
     if args.out:
-        payload = {
+        _emit_json({
             "checks": [
                 {
                     "name": r.name,
@@ -166,9 +159,7 @@ def cmd_verify(args) -> int:
                 for r in report.checks
             ],
             "overall_pass": report.overall_pass,
-        }
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(json.dumps(payload, indent=2) + "\n")
+        }, args.out)
     return 0 if report.overall_pass else 1
 
 
@@ -228,7 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--start", type=float, required=True)
     p.add_argument("--stop", type=float, required=True)
     p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--kmax", type=int, default=64)
     p.add_argument("--omega", type=float, default=1.0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sweep)

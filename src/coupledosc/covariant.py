@@ -31,7 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import GridResolutionError, QuadratureGrid, default_grid
+from .numerics import EXP_ETA_MAX, GridResolutionError, QuadratureGrid, check_eta, default_grid
+from .numerics import eta_range_error
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -74,8 +75,7 @@ class MomentumPoint:
 
 def boost_matrix(eta: float) -> np.ndarray:
     """2x2 boost acting on (z, t): [[cosh(eta/2), sinh(eta/2)], [sinh, cosh]]."""
-    if not math.isfinite(eta):
-        raise ValueError("eta must be finite")
+    eta = check_eta(eta)
     ch, sh = math.cosh(eta / 2.0), math.sinh(eta / 2.0)
     return np.array([[ch, sh], [sh, ch]])
 
@@ -97,13 +97,15 @@ def dirac_gaussian(z, t):
 
 def boosted_wavefunction(z, t, eta: float):
     """psi_eta(z, t) evaluated through its light-cone components."""
-    if not math.isfinite(eta):
-        raise ValueError("eta must be finite")
+    eta = check_eta(eta)
     za = np.asarray(z, dtype=float)
     ta = np.asarray(t, dtype=float)
     u = (za + ta) / _SQRT2
     v = (za - ta) / _SQRT2
-    out = np.pi ** -0.5 * np.exp(-0.5 * (math.exp(-eta) * u * u + math.exp(eta) * v * v))
+    try:
+        out = np.pi ** -0.5 * np.exp(-0.5 * (math.exp(-eta) * u * u + math.exp(eta) * v * v))
+    except OverflowError:
+        raise eta_range_error(eta, "psi_eta", EXP_ETA_MAX) from None
     return out if out.ndim else float(out)
 
 
@@ -115,13 +117,15 @@ def momentum_wavefunction(qz, q0, eta: float):
     same arguments, which is the point: boosting widens the momentum
     distribution exactly as it widens the spatial one.
     """
-    if not math.isfinite(eta):
-        raise ValueError("eta must be finite")
+    eta = check_eta(eta)
     qza = np.asarray(qz, dtype=float)
     q0a = np.asarray(q0, dtype=float)
     qu = (q0a - qza) / _SQRT2
     qv = (q0a + qza) / _SQRT2
-    out = np.pi ** -0.5 * np.exp(-0.5 * (math.exp(eta) * qu * qu + math.exp(-eta) * qv * qv))
+    try:
+        out = np.pi ** -0.5 * np.exp(-0.5 * (math.exp(eta) * qu * qu + math.exp(-eta) * qv * qv))
+    except OverflowError:
+        raise eta_range_error(eta, "phi_eta", EXP_ETA_MAX) from None
     return out if out.ndim else float(out)
 
 
@@ -148,8 +152,7 @@ def fourier_consistency(
     in the reported deviation.
     """
     g = grid if grid is not None else default_grid()
-    if not math.isfinite(eta):
-        raise ValueError("eta must be finite")
+    eta = check_eta(eta)
     _check_resolution(eta, g)
     q = np.linspace(-probe_extent, probe_extent, probe_count)
     Z, T = np.meshgrid(g.nodes, g.nodes, indexing="ij")

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import hermite_basis
+from .numerics import COSH_ETA_MAX, EXP_ETA_MAX, check_eta, eta_range_error, hermite_basis
 
 
 @dataclass(frozen=True)
@@ -74,20 +74,16 @@ class ThermalMap:
     temperature: float
 
 
-def _check_eta(eta: float) -> float:
-    eta = float(eta)
-    if not math.isfinite(eta):
-        raise ValueError("eta must be finite")
-    return eta
-
-
 def schmidt_coefficients(eta: float, k_max: int = 64) -> FockExpansion:
     """Schmidt coefficients c_k = tanh^k(eta/2)/cosh(eta/2) up to k_max."""
-    eta = _check_eta(eta)
+    eta = check_eta(eta)
     if k_max < 0:
         raise ValueError(f"k_max must be nonnegative, got {k_max}")
     t = math.tanh(eta / 2.0)
-    coeffs = t ** np.arange(k_max + 1) / math.cosh(eta / 2.0)
+    try:
+        coeffs = t ** np.arange(k_max + 1) / math.cosh(eta / 2.0)
+    except OverflowError:
+        raise eta_range_error(eta, "the Schmidt coefficients", 2.0 * COSH_ETA_MAX) from None
     coeffs.flags.writeable = False
     tail = math.tanh(abs(eta) / 2.0) ** (2 * (k_max + 1))
     return FockExpansion(eta=eta, k_max=int(k_max), coefficients=coeffs, tail=tail)
@@ -95,18 +91,26 @@ def schmidt_coefficients(eta: float, k_max: int = 64) -> FockExpansion:
 
 def reduced_state(eta: float, k_max: int = 64) -> ReducedState:
     """Eigenvalues p_k of the reduced density, a geometric distribution in k."""
-    eta = _check_eta(eta)
+    eta = check_eta(eta)
     if k_max < 0:
         raise ValueError(f"k_max must be nonnegative, got {k_max}")
     t2 = math.tanh(abs(eta) / 2.0) ** 2
-    p = t2 ** np.arange(k_max + 1) / math.cosh(eta / 2.0) ** 2
+    try:
+        p = t2 ** np.arange(k_max + 1) / math.cosh(eta / 2.0) ** 2
+    except OverflowError:
+        # cosh^2(eta/2) ~ e^{|eta|}/4
+        raise eta_range_error(eta, "the eigenvalues p_k", EXP_ETA_MAX + math.log(4.0)) from None
     p.flags.writeable = False
     return ReducedState(eta=eta, k_max=int(k_max), eigenvalues=p, tail=t2 ** (k_max + 1))
 
 
 def purity(eta: float) -> float:
     """Tr rho^2 = 1/cosh(eta): 1 iff uncoupled, decays to 0 as |eta| grows."""
-    return 1.0 / math.cosh(_check_eta(eta))
+    eta = check_eta(eta)
+    try:
+        return 1.0 / math.cosh(eta)
+    except OverflowError:
+        raise eta_range_error(eta, "the purity 1/cosh(eta)", COSH_ETA_MAX) from None
 
 
 def purity_series(eta: float, k_max: int = 64) -> float:
@@ -123,7 +127,7 @@ def entropy(eta: float) -> float:
     so the two large terms never cancel; good out to eta ~ 700, where it joins
     the asymptote S = eta + 1 - 2 ln 2.
     """
-    eta = abs(_check_eta(eta))
+    eta = abs(check_eta(eta))
     if eta == 0.0:
         return 0.0
     e2 = math.exp(-eta)  # e^{-2h} with h = eta/2
@@ -142,7 +146,7 @@ def effective_temperature(eta: float, omega: float = 1.0) -> ThermalMap:
     hbar = kB = 1). eta = 0 is the zero-temperature limit (x -> infinity) and
     is rejected explicitly rather than returning an infinity.
     """
-    eta = _check_eta(eta)
+    eta = check_eta(eta)
     if not math.isfinite(omega) or omega <= 0.0:
         raise ValueError(f"omega must be positive, got {omega}")
     if eta == 0.0:

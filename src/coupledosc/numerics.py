@@ -16,9 +16,12 @@ which stays in range and keeps full relative accuracy to k = 128 and beyond
 
 The reduced-density oracle tabulates a two-argument wavefunction on the grid
 and contracts one argument with the quadrature weights; all spectral claims
-(Schmidt coefficients, purity, entropy) are validated against it.
+(Schmidt coefficients, purity, entropy) are validated against it. Every CSV
+the package writes goes through write_csv.
 """
 
+import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -31,9 +34,33 @@ DEFAULT_EXTENT = 8.0
 # hard cap for the reduced-density oracle; beyond this no sane grid fits the state
 MAX_ORACLE_ETA = 6.0
 
+# |eta| beyond which math.cosh(eta) and math.exp(eta) overflow
+COSH_ETA_MAX, EXP_ETA_MAX = math.acosh(sys.float_info.max), math.log(sys.float_info.max)
+
+# rows per write_csv block: bounded memory, yet enough rows to share renderings
+CSV_BLOCK_ROWS = 1024
+
 
 class GridResolutionError(ValueError):
     """Raised when a grid cannot resolve or contain the requested state."""
+
+
+class EtaRangeError(ValueError):
+    """Raised when eta is finite but a closed form overflows a float there."""
+
+
+def check_eta(eta) -> float:
+    """eta as a float; ValueError unless it is finite."""
+    eta = float(eta)
+    if not math.isfinite(eta):
+        raise ValueError("eta must be finite")
+    return eta
+
+
+def eta_range_error(eta: float, form: str, limit: float) -> EtaRangeError:
+    """The error for an eta at which ``form`` overflows, as it does beyond |eta| = ``limit``."""
+    usable = math.floor(limit * 100.0) / 100.0
+    return EtaRangeError(f"|eta| = {abs(eta):g} overflows {form}; the usable range is |eta| <= {usable:g}")
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -177,12 +204,7 @@ class DensityKernel:
     def to_csv(self, path) -> None:
         """Write (x, x_prime, value) triples for debugging."""
         x = self.grid.nodes
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("x,x_prime,value\n")
-            for i in range(self.grid.count):
-                row = self.values[i]
-                for j in range(self.grid.count):
-                    fh.write(f"{x[i]:.15g},{x[j]:.15g},{row[j]:.15g}\n")
+        write_csv(path, ("x", "x_prime", "value"), (x[:, None], x[None, :], self.values))
 
 
 def oracle_reduced_density(eta: float, grid: QuadratureGrid | None = None) -> DensityKernel:
@@ -198,9 +220,7 @@ def oracle_reduced_density(eta: float, grid: QuadratureGrid | None = None) -> De
     is sqrt(e^{|eta|}/2) and must not exceed extent/4 (the default grid is
     good up to |eta| ~ 2.08).
     """
-    eta = float(eta)
-    if not np.isfinite(eta):
-        raise ValueError("eta must be finite")
+    eta = check_eta(eta)
     if abs(eta) > MAX_ORACLE_ETA:
         raise GridResolutionError(
             f"|eta| = {abs(eta):g} beyond supported range {MAX_ORACLE_ETA:g}"
@@ -217,3 +237,50 @@ def oracle_reduced_density(eta: float, grid: QuadratureGrid | None = None) -> De
     psi = np.pi ** -0.5 * np.exp(-0.25 * (em * (X + S) ** 2 + ep * (X - S) ** 2))
     a = psi * np.sqrt(g.weights)
     return DensityKernel(_readonly(a @ a.T), g)
+
+
+def _render(values: np.ndarray) -> list:
+    """CSV text of a 1-D array: integers as decimals, floats at %.15g, each distinct
+    float bit pattern formatted once (so -0.0 and 0.0 stay apart)."""
+    if values.dtype.kind in "iu":
+        return [str(v) for v in values.tolist()]
+    uniq, inverse = np.unique(np.asarray(values, dtype=float).view(np.int64), return_inverse=True)
+    # one %-format call for the whole block is faster than a call per value
+    text = ("\n".join(["%.15g"] * uniq.size) % tuple(uniq.view(float).tolist())).split("\n")
+    return [text[i] for i in inverse.tolist()]
+
+
+def write_csv(dest, header, columns) -> None:
+    """Write a header row, then one row per entry of the broadcast ``columns``, in C order.
+
+    ``dest`` is a path (written as UTF-8, LF line endings) or an open text file.
+    Rows are rendered and written in blocks of about CSV_BLOCK_ROWS. A column
+    smaller than the table, such as a mesh axis passed as a broadcast view of
+    its 1-D nodes, is rendered once up front; a column passed twice (the same
+    object) is rendered once.
+    """
+    if not hasattr(dest, "write"):
+        with open(dest, "w", encoding="utf-8", newline="") as fh:
+            write_csv(fh, header, columns)
+        return
+    arrays = [np.asarray(c) for c in columns]
+    shape = np.broadcast_shapes(*(a.shape for a in arrays))
+    size = math.prod(shape)
+
+    def source(a):
+        # (strings rendered up front, their indices) or (None, the values)
+        if a.size < size:
+            return _render(a.ravel()), np.broadcast_to(np.arange(a.size).reshape(a.shape), shape)
+        return None, np.broadcast_to(a, shape)
+
+    first = [next(i for i, c in enumerate(columns) if c is col) for col in columns]
+    sources = {j: source(arrays[j]) for j in set(first)}
+    lead = shape[0] if size else 0
+    step = max(1, CSV_BLOCK_ROWS * lead // max(size, 1))
+    dest.write(",".join(header) + "\n")
+    for start in range(0, lead, step):
+        text = {}
+        for j, (strings, values) in sources.items():
+            block = values[start:start + step].ravel()
+            text[j] = _render(block) if strings is None else [strings[k] for k in block.tolist()]
+        dest.write("\n".join(map(",".join, zip(*(text[j] for j in first)))) + "\n")

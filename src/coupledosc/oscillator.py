@@ -22,6 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .numerics import check_eta
+
 
 class UnstablePotentialError(ValueError):
     """Potential is not positive definite; no bound ground state exists."""
@@ -86,8 +88,7 @@ def ground_state(x1, x2, eta: float):
     Positive everywhere, peak value 1/sqrt(pi) at the origin, and normalized:
     the squeeze only redistributes the Gaussian between the two normal axes.
     """
-    if not math.isfinite(eta):
-        raise ValueError("eta must be finite")
+    eta = check_eta(eta)
     x1a = np.asarray(x1, dtype=float)
     x2a = np.asarray(x2, dtype=float)
     em, ep = math.exp(-eta), math.exp(eta)

@@ -12,8 +12,9 @@ eta = 0. At large eta the density |psi_eta|^2 piles up along the light cone:
 the narrow axis shrinks as e^{-eta/2} while the long axis stretches as
 e^{+eta/2}, which is the parton picture emerging from one squeezed Gaussian.
 
-CSV exports are deterministic (%.15g, LF, UTF-8, header row) so ingesting a
-previously exported overlay and re-exporting reproduces the bytes exactly.
+CSV exports go through numerics.write_csv (15 significant digits, LF, UTF-8,
+header row), so ingesting a previously exported overlay and re-exporting
+reproduces the bytes exactly.
 """
 
 import csv
@@ -23,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import covariant
-from .numerics import QuadratureGrid, default_grid
+from .numerics import COSH_ETA_MAX, QuadratureGrid, check_eta, default_grid, eta_range_error
+from .numerics import write_csv
 
 _VARIABLES = ("z", "qz")
 
@@ -54,18 +56,16 @@ class OverlaySeries:
     source: str
 
     def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("x,value\n")
-            for xi, vi in zip(self.x, self.values):
-                fh.write(f"{xi:.15g},{vi:.15g}\n")
+        write_csv(path, ("x", "value"), (self.x, self.values))
 
 
 def width(eta: float) -> float:
     """Standard deviation sqrt(cosh(eta)/2) of either longitudinal marginal."""
-    eta = float(eta)
-    if not math.isfinite(eta):
-        raise ValueError("eta must be finite")
-    return math.sqrt(math.cosh(eta) / 2.0)
+    eta = check_eta(eta)
+    try:
+        return math.sqrt(math.cosh(eta) / 2.0)
+    except OverflowError:
+        raise eta_range_error(eta, "the marginal width sqrt(cosh(eta)/2)", COSH_ETA_MAX) from None
 
 
 def longitudinal_density(
@@ -80,9 +80,7 @@ def longitudinal_density(
     """
     if variable not in _VARIABLES:
         raise ValueError(f"variable must be one of {_VARIABLES}, got {variable!r}")
-    eta = float(eta)
-    if not math.isfinite(eta):
-        raise ValueError("eta must be finite")
+    eta = check_eta(eta)
     g = grid if grid is not None else default_grid()
     covariant._check_resolution(eta, g)
     A, B = np.meshgrid(g.nodes, g.nodes, indexing="ij")
@@ -119,7 +117,10 @@ def lightcone_fraction(eta: float, band: float = 0.5, grid: QuadratureGrid | Non
 
 def model_density(eta: float, coords) -> np.ndarray:
     """Closed-form normalized marginal exp(-x^2/cosh eta)/sqrt(pi cosh eta)."""
-    c = math.cosh(float(eta))
+    try:
+        c = math.cosh(float(eta))
+    except OverflowError:
+        raise eta_range_error(eta, "the closed-form marginal density", COSH_ETA_MAX) from None
     xa = np.asarray(coords, dtype=float)
     return np.exp(-xa * xa / c) / math.sqrt(math.pi * c)
 
@@ -131,16 +132,11 @@ def export_gaussian_pdf(eta: float, n: int, path) -> np.ndarray:
     """
     if n < 2:
         raise ValueError(f"need at least 2 points, got {n}")
-    eta = float(eta)
-    if not math.isfinite(eta):
-        raise ValueError("eta must be finite")
+    eta = check_eta(eta)
     half = 6.0 * width(eta)
     coords = np.linspace(-half, half, int(n))
     dens = model_density(eta, coords)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("coordinate,model_density\n")
-        for xi, di in zip(coords, dens):
-            fh.write(f"{xi:.15g},{di:.15g}\n")
+    write_csv(path, ("coordinate", "model_density"), (coords, dens))
     return coords
 
 

@@ -521,8 +521,8 @@ def check_cli_determinism() -> CheckResult:
     from . import cli
 
     buf1, buf2 = io.StringIO(), io.StringIO()
-    cli._write_sweep(buf1, 0.0, 2.0, 5, 64, 1.0)
-    cli._write_sweep(buf2, 0.0, 2.0, 5, 64, 1.0)
+    cli._write_sweep(buf1, 0.0, 2.0, 5, 1.0)
+    cli._write_sweep(buf2, 0.0, 2.0, 5, 1.0)
     same = buf1.getvalue() == buf2.getvalue() and len(buf1.getvalue()) > 0
     return _result("cli_determinism", 0.0 if same else 1.0, 0.0, "identical bytes on repeat runs")
 

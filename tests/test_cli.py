@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -184,10 +187,43 @@ class TestSweep:
             run(["sweep", "--start", "2", "--stop", "1", "--steps", "3", "--out", str(tmp_path / "s.csv")])
         assert exc.value.code == 2
 
+    def test_kmax_flag_is_gone(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run(["sweep", "--start", "0", "--stop", "1", "--steps", "2", "--kmax", "5",
+                 "--out", str(tmp_path / "s.csv")])
+        assert exc.value.code == 2
+
     def test_zero_steps_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run(["sweep", "--start", "0", "--stop", "1", "--steps", "0", "--out", str(tmp_path / "s.csv")])
         assert exc.value.code == 2
+
+
+class TestHugeEta:
+    """Beyond the float range of cosh/exp each command exits 1 naming the usable |eta| range."""
+
+    @pytest.mark.parametrize(
+        "argv, limit",
+        [
+            (["entangle", "--eta=800"], "711.16"),
+            (["entangle", "--eta=-1500"], "1420.95"),
+            (["sweep", "--start=0", "--stop=720", "--steps=2"], "710.47"),
+            (["parton", "--eta=800"], "710.47"),
+            (["parton", "--eta=-720", "--overlay"], "710.47"),
+            (["boost", "--eta=800", "--grid=3"], "709.78"),
+        ],
+    )
+    def test_exits_1_with_range(self, argv, limit, tmp_path, capsys):
+        if argv[-1] == "--overlay":
+            ov = tmp_path / "ov.csv"
+            ov.write_text("x,value\n0,1\n1,2\n", encoding="utf-8", newline="")
+            argv = argv[:-1] + [f"--overlay={ov}"]
+        if argv[0] != "entangle":
+            argv = argv + [f"--out={tmp_path / 'out.csv'}"]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("coupledosc: error: ")
+        assert f"usable range is |eta| <= {limit}" in err
 
 
 class TestVerify:
@@ -210,6 +246,13 @@ class TestVerify:
             c for c in report["checks"] if c["name"] == "schmidt_truncation_tail_identity"
         )
         assert tail_check["passed"] is True
+
+
+def test_cli_import_leaves_verify_unloaded():
+    code = "import sys, coupledosc.cli; print('coupledosc.verify' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "False"
 
 
 class TestUsage:

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from coupledosc import covariant, entanglement, parton
 from coupledosc.numerics import (
     DensityKernel,
+    EtaRangeError,
     GridResolutionError,
     default_grid,
     hermite_basis,
@@ -164,3 +166,27 @@ class TestOracleKernel:
         x, xp, v = lines[1].split(",")
         assert float(x) == -4.0 and float(xp) == -4.0
         assert_allclose(float(v), kern.values[0, 0], rtol=1e-14)
+
+
+class TestEtaRange:
+    """Closed forms that overflow a float raise EtaRangeError; just inside they still return."""
+
+    @pytest.mark.parametrize(
+        "call, inside, outside",
+        [
+            (lambda e: entanglement.schmidt_coefficients(e, 4).coefficients, 1420.9, 1421.0),
+            (lambda e: entanglement.reduced_state(e, 4).eigenvalues, 711.1, 711.2),
+            (entanglement.purity, 710.47, 710.48),
+            (parton.width, -710.47, -710.48),
+            (lambda e: parton.model_density(e, [0.0, 1.0]), 710.47, 710.48),
+            (lambda e: covariant.boosted_wavefunction(0.5, 0.25, e), -709.78, -709.79),
+            (lambda e: covariant.momentum_wavefunction(0.5, 0.25, e), 709.78, 709.79),
+        ],
+    )
+    def test_edge(self, call, inside, outside):
+        assert np.all(np.isfinite(np.asarray(call(inside))))
+        with pytest.raises(EtaRangeError, match=r"usable range is \|eta\| <= \d+\.\d\d"):
+            call(outside)
+
+    def test_is_a_value_error(self):
+        assert issubclass(EtaRangeError, ValueError)
