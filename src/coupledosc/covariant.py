@@ -15,7 +15,7 @@ has exactly the functional form of the coupled-oscillator ground state under
 uses the conjugate light-cone pair q_u = (q0 - qz)/sqrt2, q_v = (q0 + qz)/sqrt2
 (note the swap) and carries the inverted squeeze on that pair:
 
-    phi_eta(qz, q0) = (1/sqrt pi) exp{-(e^{eta} q_u^2 + e^{-eta} q_v^2)/2},
+    phi_eta(qz, q0) = (1/sqrt pi) exp{-(e^{eta} q_u^2 + e^{-eta} q_v^2)/2} = psi_eta(q0, qz),
 
 which is precisely the 2D Fourier transform of psi_eta with kernel
 e^{i(qz z - q0 t)}/(2 pi). The pairing swap makes the family self-dual,
@@ -24,6 +24,10 @@ stay minimum-uncertainty while the Cartesian widths of z and qz grow
 together. Both states satisfy the boost-invariant oscillator
 equation 1/2 {(z^2 - t^2) - (d^2/dz^2 - d^2/dt^2)} psi = 0 (eigenvalue zero:
 the two zero-point halves cancel).
+
+boosted_wavefunction is the light-cone route to the squeezed Gaussian;
+numerics.squeezed_gaussian is the (x1 +- x2) route. verify's
+cross_module_identity compares them, so they are kept apart.
 """
 
 import math
@@ -31,8 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import EXP_ETA_MAX, GridResolutionError, QuadratureGrid, check_eta, default_grid
-from .numerics import eta_range_error
+from .numerics import COSH_ETA_MAX, EXP_ETA_MAX, QuadratureGrid, check_eta, check_resolution
+from .numerics import default_grid, eta_range_error
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -76,6 +80,8 @@ class MomentumPoint:
 def boost_matrix(eta: float) -> np.ndarray:
     """2x2 boost acting on (z, t): [[cosh(eta/2), sinh(eta/2)], [sinh, cosh]]."""
     eta = check_eta(eta)
+    if abs(eta) > 2.0 * COSH_ETA_MAX:
+        raise eta_range_error(eta, "the boost matrix cosh(eta/2)", 2.0 * COSH_ETA_MAX)
     ch, sh = math.cosh(eta / 2.0), math.sinh(eta / 2.0)
     return np.array([[ch, sh], [sh, ch]])
 
@@ -98,44 +104,26 @@ def dirac_gaussian(z, t):
 def boosted_wavefunction(z, t, eta: float):
     """psi_eta(z, t) evaluated through its light-cone components."""
     eta = check_eta(eta)
+    if abs(eta) > EXP_ETA_MAX:
+        raise eta_range_error(eta, "psi_eta", EXP_ETA_MAX)
     za = np.asarray(z, dtype=float)
     ta = np.asarray(t, dtype=float)
     u = (za + ta) / _SQRT2
     v = (za - ta) / _SQRT2
-    try:
+    # a product that overflows to inf gives exp(-inf) = 0, the right value
+    with np.errstate(over="ignore"):
         out = np.pi ** -0.5 * np.exp(-0.5 * (math.exp(-eta) * u * u + math.exp(eta) * v * v))
-    except OverflowError:
-        raise eta_range_error(eta, "psi_eta", EXP_ETA_MAX) from None
     return out if out.ndim else float(out)
 
 
 def momentum_wavefunction(qz, q0, eta: float):
     """phi_eta(qz, q0): the Fourier partner of psi_eta.
 
-    Built on the conjugate pair (q_u, q_v) with the inverted squeeze; the
-    pairing swap makes it numerically identical to psi_eta evaluated at the
-    same arguments, which is the point: boosting widens the momentum
+    Its conjugate pair (q_u, q_v) is (v, u) at (z, t) = (q0, qz), so it is
+    psi_eta(q0, qz), equal to psi_eta(qz, q0): boosting widens the momentum
     distribution exactly as it widens the spatial one.
     """
-    eta = check_eta(eta)
-    qza = np.asarray(qz, dtype=float)
-    q0a = np.asarray(q0, dtype=float)
-    qu = (q0a - qza) / _SQRT2
-    qv = (q0a + qza) / _SQRT2
-    try:
-        out = np.pi ** -0.5 * np.exp(-0.5 * (math.exp(eta) * qu * qu + math.exp(-eta) * qv * qv))
-    except OverflowError:
-        raise eta_range_error(eta, "phi_eta", EXP_ETA_MAX) from None
-    return out if out.ndim else float(out)
-
-
-def _check_resolution(eta: float, grid: QuadratureGrid):
-    sigma_max = math.sqrt(math.exp(abs(eta)) / 2.0)
-    if sigma_max > grid.extent / 4.0:
-        raise GridResolutionError(
-            f"state width {sigma_max:.3g} exceeds extent/4 = {grid.extent / 4.0:.3g}; "
-            "use a wider grid"
-        )
+    return boosted_wavefunction(q0, qz, eta)
 
 
 def fourier_consistency(
@@ -152,17 +140,14 @@ def fourier_consistency(
     in the reported deviation.
     """
     g = grid if grid is not None else default_grid()
-    eta = check_eta(eta)
-    _check_resolution(eta, g)
+    check_resolution(eta, g)
     q = np.linspace(-probe_extent, probe_extent, probe_count)
-    Z, T = np.meshgrid(g.nodes, g.nodes, indexing="ij")
-    psi = boosted_wavefunction(Z, T, eta)
+    psi = boosted_wavefunction(g.nodes[:, None], g.nodes[None, :], eta)
     # separable kernel: F[a, b] = sum_{jk} e^{i q_a z_j} psi[j,k] e^{-i q_b t_k} w_j w_k
     ez = np.exp(1j * np.outer(q, g.nodes)) * g.weights
     et = np.exp(-1j * np.outer(g.nodes, q)) * g.weights[:, None]
     transformed = (ez @ psi @ et) / (2.0 * math.pi)
-    QZ, Q0 = np.meshgrid(q, q, indexing="ij")
-    return float(np.max(np.abs(transformed - momentum_wavefunction(QZ, Q0, eta))))
+    return float(np.max(np.abs(transformed - momentum_wavefunction(q[:, None], q[None, :], eta))))
 
 
 def wave_equation_residual(z: float, t: float, eta: float, step: float = 1e-3) -> float:

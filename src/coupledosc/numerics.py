@@ -18,6 +18,11 @@ The reduced-density oracle tabulates a two-argument wavefunction on the grid
 and contracts one argument with the quadrature weights; all spectral claims
 (Schmidt coefficients, purity, entropy) are validated against it. Every CSV
 the package writes goes through write_csv.
+
+The squeezed Gaussian has two routes. squeezed_gaussian, in x1 +- x2, serves
+oscillator.ground_state and the oracle; covariant.boosted_wavefunction writes
+it in light-cone variables. verify's cross_module_identity compares the two,
+so they are kept apart.
 """
 
 import math
@@ -116,23 +121,14 @@ def default_grid() -> QuadratureGrid:
 def hermite_fn(k: int, x):
     """Orthonormal Hermite function phi_k evaluated at x (scalar or array).
 
-    phi_0(x) = pi^{-1/4} exp(-x^2/2) and the normalized recurrence above.
-    Stable and accurate for k up to at least 128.
+    Row k of hermite_basis on the flattened points, so both share one
+    recurrence. Stable and accurate for k up to at least 128.
     """
     if not isinstance(k, (int, np.integer)) or isinstance(k, bool):
         raise ValueError(f"order k must be an integer, got {k!r}")
-    if k < 0:
-        raise ValueError(f"order k must be nonnegative, got {k}")
     xa = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(xa)):
-        raise ValueError("hermite_fn requires finite arguments")
-    h0 = np.pi ** -0.25 * np.exp(-0.5 * xa * xa)
-    if k == 0:
-        return h0 if xa.ndim else float(h0)
-    h1 = np.sqrt(2.0) * xa * h0
-    for j in range(1, k):
-        h0, h1 = h1, xa * np.sqrt(2.0 / (j + 1)) * h1 - np.sqrt(j / (j + 1.0)) * h0
-    return h1 if xa.ndim else float(h1)
+    out = hermite_basis(k, xa.ravel())[k].reshape(xa.shape)
+    return out if xa.ndim else float(out)
 
 
 def hermite_basis(k_max: int, x: np.ndarray) -> np.ndarray:
@@ -163,12 +159,14 @@ def integrate_1d(f: Callable, grid: QuadratureGrid | None = None) -> float:
 
 
 def integrate_2d(f: Callable, grid: QuadratureGrid | None = None) -> float:
-    """Tensor-product trapezoid integral of f(x, y) over the grid squared."""
+    """Tensor-product trapezoid integral of f(x, y) on the grid squared (x a column, y a row)."""
     g = grid if grid is not None else default_grid()
-    X, Y = np.meshgrid(g.nodes, g.nodes, indexing="ij")
-    vals = np.asarray(f(X, Y), dtype=float)
-    if vals.shape != X.shape:
-        raise ValueError("integrand must return one value per mesh point")
+    x = g.nodes
+    vals = np.asarray(f(x[:, None], x[None, :]), dtype=float)
+    try:
+        vals = np.ascontiguousarray(np.broadcast_to(vals, (g.count, g.count)))
+    except ValueError:
+        raise ValueError("integrand must return one value per mesh point") from None
     if not np.all(np.isfinite(vals)):
         raise ValueError("integrand returned non-finite values")
     return float(g.weights @ vals @ g.weights)
@@ -207,6 +205,35 @@ class DensityKernel:
         write_csv(path, ("x", "x_prime", "value"), (x[:, None], x[None, :], self.values))
 
 
+def squeezed_gaussian(x1, x2, eta: float):
+    """psi_eta(x1, x2) = (1/sqrt pi) exp{-1/4 [e^{-eta}(x1+x2)^2 + e^{eta}(x1-x2)^2]}, vectorized."""
+    eta = check_eta(eta)
+    if abs(eta) > EXP_ETA_MAX:
+        raise eta_range_error(eta, "psi_eta", EXP_ETA_MAX)
+    x1a = np.asarray(x1, dtype=float)
+    x2a = np.asarray(x2, dtype=float)
+    em, ep = np.exp(-eta), np.exp(eta)
+    # a product that overflows to inf gives exp(-inf) = 0, the right value
+    with np.errstate(over="ignore"):
+        out = np.pi ** -0.5 * np.exp(-0.25 * (em * (x1a + x2a) ** 2 + ep * (x1a - x2a) ** 2))
+    return out if out.ndim else float(out)
+
+
+def check_resolution(eta: float, grid: QuadratureGrid) -> float:
+    """eta as a float; GridResolutionError unless the widest principal-axis standard
+    deviation of |psi_eta|^2, sqrt(e^{|eta|}/2), is at most extent/4."""
+    eta = check_eta(eta)
+    if abs(eta) > EXP_ETA_MAX:
+        raise eta_range_error(eta, "the state width sqrt(e^|eta|/2)", EXP_ETA_MAX)
+    sigma_max = math.sqrt(math.exp(abs(eta)) / 2.0)
+    if sigma_max > grid.extent / 4.0:
+        raise GridResolutionError(
+            f"state width {sigma_max:.3g} exceeds extent/4 = {grid.extent / 4.0:.3g}; "
+            "use a wider grid"
+        )
+    return eta
+
+
 def oracle_reduced_density(eta: float, grid: QuadratureGrid | None = None) -> DensityKernel:
     """Reduced density of the two-mode squeezed ground state, by brute quadrature.
 
@@ -216,9 +243,8 @@ def oracle_reduced_density(eta: float, grid: QuadratureGrid | None = None) -> De
 
     Built as A A^T with A = Psi sqrt(w), so the kernel is symmetric by
     construction. Raises GridResolutionError when the squeezed state does not
-    fit the grid: the widest principal-axis standard deviation of |psi_eta|^2
-    is sqrt(e^{|eta|}/2) and must not exceed extent/4 (the default grid is
-    good up to |eta| ~ 2.08).
+    fit the grid (see check_resolution; the default grid is good up to
+    |eta| ~ 2.08).
     """
     eta = check_eta(eta)
     if abs(eta) > MAX_ORACLE_ETA:
@@ -226,15 +252,8 @@ def oracle_reduced_density(eta: float, grid: QuadratureGrid | None = None) -> De
             f"|eta| = {abs(eta):g} beyond supported range {MAX_ORACLE_ETA:g}"
         )
     g = grid if grid is not None else default_grid()
-    sigma_max = np.sqrt(np.exp(abs(eta)) / 2.0)
-    if sigma_max > g.extent / 4.0:
-        raise GridResolutionError(
-            f"state width {sigma_max:.3g} exceeds extent/4 = {g.extent / 4.0:.3g}; "
-            "use a wider grid"
-        )
-    X, S = np.meshgrid(g.nodes, g.nodes, indexing="ij")
-    em, ep = np.exp(-eta), np.exp(eta)
-    psi = np.pi ** -0.5 * np.exp(-0.25 * (em * (X + S) ** 2 + ep * (X - S) ** 2))
+    check_resolution(eta, g)
+    psi = squeezed_gaussian(g.nodes[:, None], g.nodes[None, :], eta)
     a = psi * np.sqrt(g.weights)
     return DensityKernel(_readonly(a @ a.T), g)
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import check_eta
+from .numerics import squeezed_gaussian
 
 
 class UnstablePotentialError(ValueError):
@@ -88,12 +88,7 @@ def ground_state(x1, x2, eta: float):
     Positive everywhere, peak value 1/sqrt(pi) at the origin, and normalized:
     the squeeze only redistributes the Gaussian between the two normal axes.
     """
-    eta = check_eta(eta)
-    x1a = np.asarray(x1, dtype=float)
-    x2a = np.asarray(x2, dtype=float)
-    em, ep = math.exp(-eta), math.exp(eta)
-    out = np.pi ** -0.5 * np.exp(-0.25 * (em * (x1a + x2a) ** 2 + ep * (x1a - x2a) ** 2))
-    return out if out.ndim else float(out)
+    return squeezed_gaussian(x1, x2, eta)
 
 
 def hamiltonian_energy(x, p, params: CoupledParams) -> float:

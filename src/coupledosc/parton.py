@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import covariant
-from .numerics import COSH_ETA_MAX, QuadratureGrid, check_eta, default_grid, eta_range_error
-from .numerics import write_csv
+from .numerics import COSH_ETA_MAX, QuadratureGrid, check_eta, check_resolution, default_grid
+from .numerics import eta_range_error, write_csv
 
 _VARIABLES = ("z", "qz")
 
@@ -80,14 +80,13 @@ def longitudinal_density(
     """
     if variable not in _VARIABLES:
         raise ValueError(f"variable must be one of {_VARIABLES}, got {variable!r}")
-    eta = check_eta(eta)
     g = grid if grid is not None else default_grid()
-    covariant._check_resolution(eta, g)
-    A, B = np.meshgrid(g.nodes, g.nodes, indexing="ij")
+    eta = check_resolution(eta, g)
+    a, b = g.nodes[:, None], g.nodes[None, :]
     if variable == "z":
-        amp = covariant.boosted_wavefunction(A, B, eta)
+        amp = covariant.boosted_wavefunction(a, b, eta)
     else:
-        amp = covariant.momentum_wavefunction(A, B, eta)
+        amp = covariant.momentum_wavefunction(a, b, eta)
     dens = (amp * amp) @ g.weights
     area = float(g.weights @ dens)
     dens = dens / area
@@ -106,10 +105,10 @@ def lightcone_fraction(eta: float, band: float = 0.5, grid: QuadratureGrid | Non
     u = const lines); callers must supply a grid wide enough for e^{eta/2}.
     """
     g = grid if grid is not None else default_grid()
-    covariant._check_resolution(eta, g)
-    Z, T = np.meshgrid(g.nodes, g.nodes, indexing="ij")
-    rho = covariant.boosted_wavefunction(Z, T, eta) ** 2
-    V = (Z - T) / math.sqrt(2.0)
+    check_resolution(eta, g)
+    z, t = g.nodes[:, None], g.nodes[None, :]
+    rho = covariant.boosted_wavefunction(z, t, eta) ** 2
+    V = (z - t) / math.sqrt(2.0)
     total = float(g.weights @ rho @ g.weights)
     inside = float(g.weights @ np.where(np.abs(V) < band, rho, 0.0) @ g.weights)
     return inside / total
@@ -118,11 +117,13 @@ def lightcone_fraction(eta: float, band: float = 0.5, grid: QuadratureGrid | Non
 def model_density(eta: float, coords) -> np.ndarray:
     """Closed-form normalized marginal exp(-x^2/cosh eta)/sqrt(pi cosh eta)."""
     try:
-        c = math.cosh(float(eta))
+        c = math.cosh(check_eta(eta))
     except OverflowError:
         raise eta_range_error(eta, "the closed-form marginal density", COSH_ETA_MAX) from None
     xa = np.asarray(coords, dtype=float)
-    return np.exp(-xa * xa / c) / math.sqrt(math.pi * c)
+    # a square that overflows to inf gives exp(-inf) = 0, the right value
+    with np.errstate(over="ignore"):
+        return np.exp(-xa * xa / c) / math.sqrt(math.pi * c)
 
 
 def export_gaussian_pdf(eta: float, n: int, path) -> np.ndarray:

@@ -166,9 +166,8 @@ def check_ground_state_normalization() -> CheckResult:
 
 
 def check_ground_state_peak_bound() -> CheckResult:
-    g = default_grid()
-    X1, X2 = np.meshgrid(g.nodes, g.nodes, indexing="ij")
-    vals = oscillator.ground_state(X1, X2, 1.5)
+    x = default_grid().nodes
+    vals = oscillator.ground_state(x[:, None], x[None, :], 1.5)
     bound = math.pi**-0.5
     dev = max(float(np.max(vals)) - bound, 0.0 if np.all(vals > 0.0) else 1.0)
     return _result(
@@ -178,9 +177,9 @@ def check_ground_state_peak_bound() -> CheckResult:
 
 def check_separability_zero_coupling() -> CheckResult:
     x = np.linspace(-3, 3, 20)
-    X1, X2 = np.meshgrid(x, x, indexing="ij")
-    product = hermite_fn(0, X1) * hermite_fn(0, X2)
-    dev = float(np.max(np.abs(oscillator.ground_state(X1, X2, 0.0) - product)))
+    x1, x2 = x[:, None], x[None, :]
+    product = hermite_fn(0, x1) * hermite_fn(0, x2)
+    dev = float(np.max(np.abs(oscillator.ground_state(x1, x2, 0.0) - product)))
     return _result("separability_zero_coupling", dev, 1e-14, "eta=0 factorizes into phi_0 phi_0")
 
 
@@ -298,13 +297,13 @@ def check_thermal_zero_temperature_limit() -> CheckResult:
 
 def check_schmidt_reconstruction() -> CheckResult:
     x = np.linspace(-3.0, 3.0, 15)
-    X1, X2 = np.meshgrid(x, x, indexing="ij")
+    x1, x2 = x[:, None], x[None, :]
     dev = 0.0
     for e in (0.5, 1.0, 2.0):
         exp_ = entanglement.schmidt_coefficients(e, k_max=40)
         dev = max(
             dev,
-            float(np.max(np.abs(exp_.reconstruct(X1, X2) - oscillator.ground_state(X1, X2, e)))),
+            float(np.max(np.abs(exp_.reconstruct(x1, x2) - oscillator.ground_state(x1, x2, e)))),
         )
     return _result(
         "schmidt_reconstruction",
@@ -318,15 +317,12 @@ def check_schmidt_reconstruction() -> CheckResult:
 def check_schmidt_truncation_tail_identity() -> CheckResult:
     # the reconstruction error at eta=2 must BE the exact series tail, term by term
     x = np.linspace(-3.0, 3.0, 15)
-    X1, X2 = np.meshgrid(x, x, indexing="ij")
+    x1, x2 = x[:, None], x[None, :]
     exp40 = entanglement.schmidt_coefficients(2.0, k_max=40)
-    err = np.abs(exp40.reconstruct(X1, X2) - oscillator.ground_state(X1, X2, 2.0))
+    err = np.abs(exp40.reconstruct(x1, x2) - oscillator.ground_state(x1, x2, 2.0))
     exp200 = entanglement.schmidt_coefficients(2.0, k_max=200)
-    b1 = hermite_basis(200, X1.ravel())
-    b2 = hermite_basis(200, X2.ravel())
-    tail = np.abs(
-        (exp200.coefficients[41:, None] * b1[41:] * b2[41:]).sum(axis=0).reshape(X1.shape)
-    )
+    b = hermite_basis(200, x)[41:]
+    tail = np.abs((exp200.coefficients[41:, None, None] * b[:, :, None] * b[:, None, :]).sum(axis=0))
     return _result(
         "schmidt_truncation_tail_identity",
         float(np.max(np.abs(err - tail))),
@@ -398,13 +394,13 @@ def check_covariance_identity() -> CheckResult:
 
 def check_squeeze_reciprocity() -> CheckResult:
     x = np.linspace(-3, 3, 20)
-    Z, T = np.meshgrid(x, x, indexing="ij")
+    z, t = x[:, None], x[None, :]
     dev = max(
         float(
             np.max(
                 np.abs(
-                    covariant.boosted_wavefunction(Z, T, e)
-                    - covariant.boosted_wavefunction(Z, -T, -e)
+                    covariant.boosted_wavefunction(z, t, e)
+                    - covariant.boosted_wavefunction(z, -t, -e)
                 )
             )
         )
@@ -415,11 +411,11 @@ def check_squeeze_reciprocity() -> CheckResult:
 
 def check_cross_module_identity() -> CheckResult:
     x = np.linspace(-3, 3, 20)
-    A, B = np.meshgrid(x, x, indexing="ij")
+    a, b = x[:, None], x[None, :]
     dev = max(
         float(
             np.max(
-                np.abs(oscillator.ground_state(A, B, e) - covariant.boosted_wavefunction(A, B, e))
+                np.abs(oscillator.ground_state(a, b, e) - covariant.boosted_wavefunction(a, b, e))
             )
         )
         for e in (0.0, 0.7, 1.5)

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -224,6 +225,20 @@ class TestHugeEta:
         err = capsys.readouterr().err
         assert err.startswith("coupledosc: error: ")
         assert f"usable range is |eta| <= {limit}" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["boost", "--eta=709.7", "--grid=3"],
+            ["boost", "--eta=-709.7", "--grid=3"],
+            ["parton", "--eta=709.7"],
+        ],
+    )
+    def test_no_overflow_warning_just_inside(self, argv, tmp_path):
+        # products that overflow to inf only feed exp(-inf) = 0, which is exact
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(argv + [f"--out={tmp_path / 'out.csv'}"]) == 0
 
 
 class TestVerify:

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from coupledosc import covariant, entanglement, parton
+from coupledosc import covariant, entanglement, oscillator, parton
 from coupledosc.numerics import (
     DensityKernel,
     EtaRangeError,
     GridResolutionError,
+    check_resolution,
     default_grid,
     hermite_basis,
     hermite_fn,
@@ -113,6 +114,20 @@ class TestIntegration:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
             integrate_1d(lambda x: np.array([1.0, 2.0]))
+        with pytest.raises(ValueError, match="one value per mesh point"):
+            integrate_2d(lambda x, y: np.array([1.0, 2.0]))
+
+    def test_broadcastable_integrand_equals_full_mesh(self):
+        shapes = []
+
+        def column(x, y):
+            vals = np.exp(-x * x) * np.cos(x)
+            shapes.append(vals.shape)
+            return vals
+
+        full = integrate_2d(lambda x, y: np.exp(-x * x) * np.cos(x) + 0.0 * y)
+        assert integrate_2d(column) == full
+        assert shapes == [(401, 1)]
 
     def test_rejects_nonfinite_integrand(self):
         with pytest.raises(ValueError):
@@ -181,12 +196,34 @@ class TestEtaRange:
             (lambda e: parton.model_density(e, [0.0, 1.0]), 710.47, 710.48),
             (lambda e: covariant.boosted_wavefunction(0.5, 0.25, e), -709.78, -709.79),
             (lambda e: covariant.momentum_wavefunction(0.5, 0.25, e), 709.78, 709.79),
+            (lambda e: oscillator.ground_state(0.5, 0.25, e), -709.78, -709.79),
+            (covariant.boost_matrix, 1420.95, 1420.96),
+            (lambda e: check_resolution(e, uniform_grid(3, 1e200)), 709.78, 709.79),
         ],
     )
     def test_edge(self, call, inside, outside):
         assert np.all(np.isfinite(np.asarray(call(inside))))
         with pytest.raises(EtaRangeError, match=r"usable range is \|eta\| <= \d+\.\d\d"):
             call(outside)
+
+    @pytest.mark.parametrize(
+        "call, eta, error",
+        [
+            (covariant.boost_matrix, 1500.0, EtaRangeError),
+            (lambda e: oscillator.ground_state(0.0, 0.0, e), 800.0, EtaRangeError),
+            (parton.longitudinal_density, 800.0, EtaRangeError),
+            (parton.longitudinal_density, 5.0, GridResolutionError),
+            (covariant.fourier_consistency, 800.0, EtaRangeError),
+            (covariant.fourier_consistency, -1e308, EtaRangeError),
+            (parton.lightcone_fraction, 800.0, EtaRangeError),
+            (lambda e: parton.model_density(e, [0.0, 1.0]), math.inf, ValueError),
+            (lambda e: parton.model_density(e, [0.0, 1.0]), math.nan, ValueError),
+            (parton.lightcone_fraction, -math.inf, ValueError),
+        ],
+    )
+    def test_public_functions_reject_cleanly(self, call, eta, error):
+        with pytest.raises(error):
+            call(eta)
 
     def test_is_a_value_error(self):
         assert issubclass(EtaRangeError, ValueError)
