@@ -196,9 +196,15 @@ class TestEtaRange:
             (lambda e: parton.model_density(e, [0.0, 1.0]), 710.47, 710.48),
             (lambda e: covariant.boosted_wavefunction(0.5, 0.25, e), -709.78, -709.79),
             (lambda e: covariant.momentum_wavefunction(0.5, 0.25, e), 709.78, 709.79),
-            (lambda e: oscillator.ground_state(0.5, 0.25, e), -709.78, -709.79),
+            pytest.param(
+                lambda e: oscillator.ground_state(0.5, 0.25, e), -709.78, -709.79,
+                id="ground_state--709.78--709.79",
+            ),
             (covariant.boost_matrix, 1420.95, 1420.96),
-            (lambda e: check_resolution(e, uniform_grid(3, 1e200)), 709.78, 709.79),
+            pytest.param(
+                lambda e: check_resolution(e, uniform_grid(3, 1e200)), 709.78, 709.79,
+                id="check_resolution-709.78-709.79",
+            ),
         ],
     )
     def test_edge(self, call, inside, outside):
