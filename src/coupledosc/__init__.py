@@ -4,114 +4,54 @@ One Gaussian, three readings: the entangled ground state of two coupled
 oscillators, a two-mode squeezed state whose traced-out partner is exactly
 thermal, and a relativistically boosted bound state flowing into the parton
 picture. Closed forms throughout, each one cross-checked by quadrature.
+
+Public names load their module on first use, so importing the package (or
+the CLI) does not import numpy until a name or subcommand needs it.
 """
 
-from .covariant import (
-    MomentumPoint,
-    SpacetimePoint,
-    boost_matrix,
-    boost_point,
-    boosted_wavefunction,
-    dirac_gaussian,
-    fourier_consistency,
-    hadron_variables,
-    momentum_variables,
-    momentum_wavefunction,
-)
-from .entanglement import (
-    FockExpansion,
-    ReducedState,
-    ThermalMap,
-    effective_temperature,
-    entropy,
-    purity,
-    purity_series,
-    reduced_state,
-    schmidt_coefficients,
-    thermal_entropy,
-)
-from .numerics import (
-    DensityKernel,
-    GridResolutionError,
-    QuadratureGrid,
-    default_grid,
-    hermite_fn,
-    integrate_1d,
-    integrate_2d,
-    oracle_reduced_density,
-    uniform_grid,
-)
-from .oscillator import (
-    CoupledParams,
-    NormalModeData,
-    UnstablePotentialError,
-    from_normal,
-    ground_state,
-    hamiltonian_energy,
-    normal_mode_energy,
-    normal_modes,
-    to_normal,
-)
-from .parton import (
-    MarginalDistribution,
-    OverlayParseError,
-    OverlaySeries,
-    OverlayValidationError,
-    export_gaussian_pdf,
-    ingest_overlay,
-    lightcone_fraction,
-    longitudinal_density,
-    width,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CoupledParams",
-    "DensityKernel",
-    "FockExpansion",
-    "GridResolutionError",
-    "MarginalDistribution",
-    "MomentumPoint",
-    "NormalModeData",
-    "OverlayParseError",
-    "OverlaySeries",
-    "OverlayValidationError",
-    "QuadratureGrid",
-    "ReducedState",
-    "SpacetimePoint",
-    "ThermalMap",
-    "UnstablePotentialError",
-    "boost_matrix",
-    "boost_point",
-    "boosted_wavefunction",
-    "default_grid",
-    "dirac_gaussian",
-    "effective_temperature",
-    "entropy",
-    "export_gaussian_pdf",
-    "fourier_consistency",
-    "from_normal",
-    "ground_state",
-    "hadron_variables",
-    "hamiltonian_energy",
-    "hermite_fn",
-    "ingest_overlay",
-    "integrate_1d",
-    "integrate_2d",
-    "lightcone_fraction",
-    "longitudinal_density",
-    "momentum_variables",
-    "momentum_wavefunction",
-    "normal_mode_energy",
-    "normal_modes",
-    "oracle_reduced_density",
-    "purity",
-    "purity_series",
-    "reduced_state",
-    "schmidt_coefficients",
-    "thermal_entropy",
-    "to_normal",
-    "uniform_grid",
-    "width",
-]
+# defining module -> the public names it exports
+_EXPORTS = {
+    "covariant": (
+        "MomentumPoint", "SpacetimePoint", "boost_matrix", "boost_point", "boosted_wavefunction",
+        "dirac_gaussian", "fourier_consistency", "hadron_variables", "momentum_variables",
+        "momentum_wavefunction",
+    ),
+    "entanglement": (
+        "FockExpansion", "ReducedState", "ThermalMap", "effective_temperature", "entropy",
+        "purity", "purity_series", "reduced_state", "schmidt_coefficients", "thermal_entropy",
+    ),
+    "numerics": (
+        "DensityKernel", "GridResolutionError", "QuadratureGrid", "default_grid", "hermite_fn",
+        "integrate_1d", "integrate_2d", "oracle_reduced_density", "uniform_grid",
+    ),
+    "oscillator": (
+        "CoupledParams", "NormalModeData", "UnstablePotentialError", "from_normal", "ground_state",
+        "hamiltonian_energy", "normal_mode_energy", "normal_modes", "to_normal",
+    ),
+    "parton": (
+        "MarginalDistribution", "OverlayParseError", "OverlaySeries", "OverlayValidationError",
+        "export_gaussian_pdf", "ingest_overlay", "lightcone_fraction", "longitudinal_density",
+        "width",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    if name in _EXPORTS:
+        return importlib.import_module(f".{name}", __name__)
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__) | set(_EXPORTS))

@@ -4,6 +4,8 @@ parton marginals, parameter sweeps, and the self-verification report.
 All numeric output is rendered at 15 significant digits; every CSV is
 written by numerics.write_csv (UTF-8, LF line endings, a header row), and
 every command is deterministic: the same invocation produces the same bytes.
+Each command imports what it runs, so modes, --help and usage errors
+start without numpy.
 
 Exit codes: 0 success, 1 domain or data error (bad physics parameters,
 unreadable overlay, failed verification), 2 usage error.
@@ -13,11 +15,6 @@ import argparse
 import json
 import math
 import sys
-
-import numpy as np
-
-from . import covariant, entanglement, oscillator, parton
-from .numerics import oracle_reduced_density, uniform_grid, write_csv
 
 _PROG = "coupledosc"
 
@@ -37,6 +34,8 @@ def _emit_json(payload: dict, out: str | None) -> None:
 
 
 def cmd_modes(args) -> int:
+    from . import oscillator
+
     params = oscillator.CoupledParams(m=args.m, A=args.A, C=args.C)
     modes = oscillator.normal_modes(params)
     _emit_json(
@@ -56,6 +55,11 @@ def cmd_modes(args) -> int:
 
 
 def cmd_entangle(args) -> int:
+    import numpy as np
+
+    from . import entanglement
+    from .numerics import oracle_reduced_density, uniform_grid, write_csv
+
     if args.kmax < 0:
         raise ValueError(f"--kmax must be nonnegative, got {args.kmax}")
     exp_ = entanglement.schmidt_coefficients(args.eta, k_max=args.kmax)
@@ -89,7 +93,12 @@ def cmd_entangle(args) -> int:
 
 
 def cmd_boost(args) -> int:
-    nodes = np.linspace(-args.extent, args.extent, args.grid)
+    import numpy as np
+
+    from . import covariant
+    from .numerics import uniform_grid, write_csv
+
+    nodes = uniform_grid(args.grid, args.extent).nodes
     z, t = nodes[:, None], nodes[None, :]
     psi = covariant.boosted_wavefunction(z, t, args.eta)
     phi = covariant.momentum_wavefunction(z, t, args.eta)
@@ -101,6 +110,9 @@ def cmd_boost(args) -> int:
 
 
 def cmd_parton(args) -> int:
+    from . import parton
+    from .numerics import write_csv
+
     if args.overlay:
         series = parton.ingest_overlay(args.overlay)
         shift, scale = args.rescale if args.rescale else (0.0, 1.0)
@@ -114,6 +126,11 @@ def cmd_parton(args) -> int:
 
 
 def _write_sweep(dest, start: float, stop: float, steps: int, omega: float) -> None:
+    import numpy as np
+
+    from . import entanglement, parton
+    from .numerics import write_csv
+
     etas = np.linspace(start, stop, steps)
 
     def temperature(eta):

@@ -30,6 +30,9 @@ import numpy as np
 
 from .numerics import COSH_ETA_MAX, EXP_ETA_MAX, check_eta, eta_range_error, hermite_basis
 
+# below this |eta|, e^{-|eta|} is too close to 1 for the log1p(+-e^{-|eta|}) forms
+SMALL_ETA = 0.01
+
 
 @dataclass(frozen=True)
 class FockExpansion:
@@ -72,6 +75,20 @@ class ThermalMap:
     omega: float
     x: float  # hbar omega / kB T
     temperature: float
+
+
+def _ln_coth_half(a: float) -> float:
+    """ln coth(a/2) = -ln tanh(a/2) for a > 0, to a few ulp over the whole float range."""
+    if a >= SMALL_ETA:
+        # via log1p, x = 2 ln coth stays alive (~4 e^{-a}) long after tanh itself
+        # rounds to 1 (a ~ 37); it underflows only near a ~ 745
+        e = math.exp(-a)
+        return math.log1p(e) - math.log1p(-e)
+    # -ln tanh h = -ln h - ln(tanh(h)/h), h = a/2, with -ln h taken from a, since
+    # a/2 drops the last bit of a subnormal a. ln(tanh(h)/h) ~ -h^2/3 is below
+    # 1e-16 for h <= 1e-8, so it is skipped there (h is 0 at the smallest a)
+    h = 0.5 * a
+    return math.log(2.0) - math.log(a) - (math.log(math.tanh(h) / h) if h > 1e-8 else 0.0)
 
 
 def schmidt_coefficients(eta: float, k_max: int = 64) -> FockExpansion:
@@ -125,15 +142,20 @@ def entropy(eta: float) -> float:
     Closed form 2{cosh^2(eta/2) ln cosh(eta/2) - sinh^2(eta/2) ln sinh(eta/2)},
     evaluated as 2{sinh^2 ln coth + ln cosh} (the same thing, ch^2 = sh^2 + 1)
     so the two large terms never cancel; good out to eta ~ 700, where it joins
-    the asymptote S = eta + 1 - 2 ln 2.
+    the asymptote S = eta + 1 - 2 ln 2. Below |eta| = 0.01 the terms are
+    sinh^2(h) ln coth(h) and ln cosh(h) = log1p(2 sinh^2(h/2)), h = |eta|/2,
+    accurate down to the smallest subnormal eta.
     """
     eta = abs(check_eta(eta))
     if eta == 0.0:
         return 0.0
+    ln_coth = _ln_coth_half(eta)
+    if eta < SMALL_ETA:
+        h = 0.5 * eta
+        return 2.0 * (math.sinh(h) ** 2 * ln_coth + math.log1p(2.0 * math.sinh(0.5 * h) ** 2))
     e2 = math.exp(-eta)  # e^{-2h} with h = eta/2
     if e2 == 0.0:
         return eta + 1.0 - 2.0 * math.log(2.0)
-    ln_coth = math.log1p(e2) - math.log1p(-e2)
     ln_ch = 0.5 * eta - math.log(2.0) + math.log1p(e2)
     # sinh^2(h) ln coth(h) = (1 - e2)^2 / 4 * (ln coth / e2), overflow-free
     return 2.0 * (0.25 * (1.0 - e2) ** 2 * (ln_coth / e2) + ln_ch)
@@ -151,10 +173,7 @@ def effective_temperature(eta: float, omega: float = 1.0) -> ThermalMap:
         raise ValueError(f"omega must be positive, got {omega}")
     if eta == 0.0:
         raise ValueError("eta = 0 is the zero-temperature limit; no finite x exists")
-    # log tanh(|eta|/2) via log1p keeps x = ~4 e^{-|eta|} alive long after
-    # tanh itself rounds to 1 (|eta| ~ 37); x underflows only near eta ~ 745
-    e = math.exp(-abs(eta))
-    x = -2.0 * (math.log1p(-e) - math.log1p(e))
+    x = 2.0 * _ln_coth_half(abs(eta))
     if x <= 0.0:
         raise ValueError(f"|eta| = {abs(eta):g} is too large: x underflows to zero")
     return ThermalMap(omega=float(omega), x=x, temperature=float(omega) / x)

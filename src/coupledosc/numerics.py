@@ -101,13 +101,20 @@ class QuadratureGrid:
 
 
 def uniform_grid(count: int = DEFAULT_COUNT, extent: float = DEFAULT_EXTENT) -> QuadratureGrid:
-    """Build the trapezoid grid used by every quadrature oracle."""
+    """Build the trapezoid grid used by every quadrature oracle and the boost mesh.
+
+    ValueError unless the extent and the spacing 2*extent/(count-1) are both
+    finite and positive.
+    """
     if count < 2:
         raise ValueError(f"grid needs at least 2 nodes, got {count}")
-    if not extent > 0.0:
-        raise ValueError(f"grid extent must be positive, got {extent}")
-    nodes = np.linspace(-extent, extent, count)
     h = 2.0 * extent / (count - 1)
+    if not 0.0 < h < math.inf:
+        raise ValueError(
+            f"grid extent must be positive with a finite, nonzero spacing 2*extent/(count-1), "
+            f"got extent {extent} for {count} nodes"
+        )
+    nodes = np.linspace(-extent, extent, count)
     weights = np.full(count, h)
     weights[0] = weights[-1] = 0.5 * h
     return QuadratureGrid(_readonly(nodes), _readonly(weights), float(extent), int(count))

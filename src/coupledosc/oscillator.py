@@ -15,14 +15,13 @@ omega = sqrt(K/m). In units where m = omega = hbar = 1 the ground state is
     psi_eta(x1, x2) = (1/sqrt pi) exp{ -1/4 [ e^{-eta}(x1+x2)^2 + e^{eta}(x1-x2)^2 ] },
 
 a two-mode squeezed Gaussian; eta = 0 is the separable product state.
+
+The parameters, normal modes and energies need only math; the array
+functions (to_normal, from_normal, ground_state) import numpy when called.
 """
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
-
-from .numerics import squeezed_gaussian
 
 
 class UnstablePotentialError(ValueError):
@@ -73,11 +72,15 @@ def normal_modes(params: CoupledParams) -> NormalModeData:
 
 def to_normal(x1, x2):
     """Rotate particle coordinates to normal coordinates (y1, y2)."""
+    import numpy as np
+
     s = 1.0 / math.sqrt(2.0)
     return s * (np.asarray(x1) + np.asarray(x2)), s * (np.asarray(x1) - np.asarray(x2))
 
 
 def from_normal(y1, y2):
+    import numpy as np
+
     s = 1.0 / math.sqrt(2.0)
     return s * (np.asarray(y1) + np.asarray(y2)), s * (np.asarray(y1) - np.asarray(y2))
 
@@ -88,6 +91,8 @@ def ground_state(x1, x2, eta: float):
     Positive everywhere, peak value 1/sqrt(pi) at the origin, and normalized:
     the squeeze only redistributes the Gaussian between the two normal axes.
     """
+    from .numerics import squeezed_gaussian
+
     return squeezed_gaussian(x1, x2, eta)
 
 

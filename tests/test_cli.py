@@ -82,6 +82,13 @@ class TestEntangle:
         assert run(["entangle", "--eta", "3", "--kernel-csv", str(out)]) == 1
         assert "wider grid" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("eta", ["1e-300", "-5e-324"])
+    def test_tiny_eta(self, eta, capsys):
+        assert run(["entangle", f"--eta={eta}", "--kmax=2"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["entropy"] == 0.0
+        assert math.isfinite(payload["x"]) and payload["x"] > 1000.0
+
 
 class TestBoost:
     def test_mesh_csv(self, tmp_path):
@@ -100,6 +107,26 @@ class TestBoost:
         run(["boost", "--eta", "0.8", "--grid", "7", "--extent", "3", "--out", str(a)])
         run(["boost", "--eta", "0.8", "--grid", "7", "--extent", "3", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestExtent:
+    """A grid extent that is not positive, or whose spacing is not finite, exits 1 and writes nothing."""
+
+    @pytest.mark.parametrize("extent", ["-1", "0", "inf", "nan", "1e308"])
+    def test_boost(self, extent, tmp_path, capsys):
+        out = tmp_path / "boost.csv"
+        assert run(["boost", "--eta=1", "--grid=3", f"--extent={extent}", f"--out={out}"]) == 1
+        assert "grid extent must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_kernel_csv(self, tmp_path, capsys):
+        out = tmp_path / "kern.csv"
+        argv = ["entangle", "--eta=2", f"--kernel-csv={out}", "--grid=3", "--extent=1e308"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(argv) == 1
+        assert "grid extent must be positive" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestParton:
@@ -264,10 +291,14 @@ class TestVerify:
 
 
 def test_cli_import_leaves_verify_unloaded():
-    code = "import sys, coupledosc.cli; print('coupledosc.verify' in sys.modules)"
+    # nor numpy, nor any layer module: each command imports what it runs
+    code = (
+        "import sys, coupledosc.cli; "
+        "print(sorted(m for m in sys.modules if m == 'numpy' or m.startswith('coupledosc')))"
+    )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "['coupledosc', 'coupledosc.cli']"
 
 
 class TestUsage:

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -197,3 +198,45 @@ class TestThermalEntropy:
     def test_rejects_nonpositive(self, bad):
         with pytest.raises(ValueError):
             thermal_entropy(bad)
+
+
+def _small_eta_reference(eta):
+    """x = -2 ln tanh h and S = 2(sinh^2 h ln coth h + ln cosh h), h = eta/2, at 60 digits.
+
+    Power series in h (twelve terms reach far below 1e-60 for h < 0.005), so
+    no digit is lost to 1 - e^{-eta} the way a float would lose it.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 60
+        h = Decimal(eta) / 2
+        sinh = sum(h ** (2 * k + 1) / math.factorial(2 * k + 1) for k in range(12))
+        cosh_m1 = sum(h ** (2 * k) / math.factorial(2 * k) for k in range(1, 12))
+        ln_coth = -(sinh / (1 + cosh_m1)).ln()
+        ln_cosh = sum((-1) ** (n + 1) * cosh_m1 ** n / n for n in range(1, 12))
+        return float(2 * ln_coth), float(2 * (sinh * sinh * ln_coth + ln_cosh))
+
+
+class TestSmallEta:
+    """Below |eta| = 0.01, x and S come from tanh/sinh forms that keep their digits."""
+
+    @pytest.mark.parametrize("eta", [5e-324, 1.5e-323, 1e-310, 1e-300, 1e-152, 1e-12, 1e-6, 1e-3, 0.0099])
+    def test_x_matches_reference(self, eta):
+        x_ref, _ = _small_eta_reference(eta)
+        assert_allclose(effective_temperature(eta).x, x_ref, rtol=5e-16)
+        assert effective_temperature(-eta).x == effective_temperature(eta).x
+
+    @pytest.mark.parametrize("eta", [1e-150, 1e-12, 1e-6, 1.2e-4, 1e-3, 0.0099])
+    def test_entropy_matches_reference(self, eta):
+        _, s_ref = _small_eta_reference(eta)
+        assert_allclose(entropy(eta), s_ref, rtol=1e-15)
+        assert entropy(-eta) == entropy(eta)
+
+    @pytest.mark.parametrize("eta", [5e-324, 1e-300])
+    def test_entropy_underflows_to_zero(self, eta):
+        assert entropy(eta) == 0.0
+
+    @pytest.mark.parametrize("eta", [1e-300, 1e-152])
+    def test_thermal_equivalence(self, eta):
+        # x >= 700 here, where thermal_entropy takes its exact tail (x + 1) e^{-x};
+        # e^{-x} turns the rounding of x (~700) into ~1e-13 relative
+        assert_allclose(thermal_entropy(effective_temperature(eta).x), entropy(eta), rtol=1e-12)

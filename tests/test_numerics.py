@@ -41,7 +41,10 @@ class TestGrid:
         with pytest.raises(ValueError):
             g.nodes[0] = 0.0
 
-    @pytest.mark.parametrize("count,extent", [(1, 8.0), (0, 8.0), (10, 0.0), (10, -1.0)])
+    @pytest.mark.parametrize(
+        "count,extent",
+        [(1, 8.0), (0, 8.0), (10, 0.0), (10, -1.0), (10, math.inf), (10, math.nan), (3, 1e308)],
+    )
     def test_rejects_degenerate(self, count, extent):
         with pytest.raises(ValueError):
             uniform_grid(count=count, extent=extent)
