@@ -33,6 +33,10 @@ from .numerics import COSH_ETA_MAX, EXP_ETA_MAX, check_eta, eta_range_error, her
 # below this |eta|, e^{-|eta|} is too close to 1 for the log1p(+-e^{-|eta|}) forms
 SMALL_ETA = 0.01
 
+# largest truncation order accepted, so k_max + 1 floats stay a bounded allocation;
+# for |eta| <= 6 (the oracle's cap) every p_k past it is below 1e-300
+K_MAX_CAP = 100_000
+
 
 @dataclass(frozen=True)
 class FockExpansion:
@@ -91,11 +95,17 @@ def _ln_coth_half(a: float) -> float:
     return math.log(2.0) - math.log(a) - (math.log(math.tanh(h) / h) if h > 1e-8 else 0.0)
 
 
+def _check_k_max(k_max: int) -> None:
+    if k_max < 0:
+        raise ValueError(f"k_max must be nonnegative, got {k_max}")
+    if k_max > K_MAX_CAP:
+        raise ValueError(f"k_max must be at most {K_MAX_CAP}, got {k_max}")
+
+
 def schmidt_coefficients(eta: float, k_max: int = 64) -> FockExpansion:
     """Schmidt coefficients c_k = tanh^k(eta/2)/cosh(eta/2) up to k_max."""
     eta = check_eta(eta)
-    if k_max < 0:
-        raise ValueError(f"k_max must be nonnegative, got {k_max}")
+    _check_k_max(k_max)
     t = math.tanh(eta / 2.0)
     try:
         coeffs = t ** np.arange(k_max + 1) / math.cosh(eta / 2.0)
@@ -109,8 +119,7 @@ def schmidt_coefficients(eta: float, k_max: int = 64) -> FockExpansion:
 def reduced_state(eta: float, k_max: int = 64) -> ReducedState:
     """Eigenvalues p_k of the reduced density, a geometric distribution in k."""
     eta = check_eta(eta)
-    if k_max < 0:
-        raise ValueError(f"k_max must be nonnegative, got {k_max}")
+    _check_k_max(k_max)
     t2 = math.tanh(abs(eta) / 2.0) ** 2
     try:
         p = t2 ** np.arange(k_max + 1) / math.cosh(eta / 2.0) ** 2

@@ -29,6 +29,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from typing import Callable
 
 import numpy as np
@@ -42,7 +43,7 @@ MAX_ORACLE_ETA = 6.0
 # |eta| beyond which math.cosh(eta) and math.exp(eta) overflow
 COSH_ETA_MAX, EXP_ETA_MAX = math.acosh(sys.float_info.max), math.log(sys.float_info.max)
 
-# rows per write_csv block: bounded memory, yet enough rows to share renderings
+# rows per write_csv block: bounded memory, and each block's fixed cost spread over many rows
 CSV_BLOCK_ROWS = 1024
 
 
@@ -265,25 +266,40 @@ def oracle_reduced_density(eta: float, grid: QuadratureGrid | None = None) -> De
     return DensityKernel(_readonly(a @ a.T), g)
 
 
-def _render(values: np.ndarray) -> list:
-    """CSV text of a 1-D array: integers as decimals, floats at %.15g, each distinct
-    float bit pattern formatted once (so -0.0 and 0.0 stay apart)."""
-    if values.dtype.kind in "iu":
-        return [str(v) for v in values.tolist()]
-    uniq, inverse = np.unique(np.asarray(values, dtype=float).view(np.int64), return_inverse=True)
-    # one %-format call for the whole block is faster than a call per value
-    text = ("\n".join(["%.15g"] * uniq.size) % tuple(uniq.view(float).tolist())).split("\n")
-    return [text[i] for i in inverse.tolist()]
+def _render(fields: list, rows: int) -> str:
+    """``rows`` LF-terminated CSV lines, one field per entry of ``fields``.
+
+    Each field holds one value per row: a float array (written at %.15g), an
+    integer array (written as decimals) or a list of strings rendered earlier.
+    A block with a numeric field is one %-format call on a row template; a
+    block of strings only is joined.
+    """
+    specs, cells = [], []
+    for f in fields:
+        if isinstance(f, list):
+            specs.append("%s")
+            cells.append(f)
+        elif f.dtype.kind in "iu":
+            specs.append("%d")
+            cells.append(f.tolist())
+        else:
+            specs.append("%.15g")
+            cells.append(np.asarray(f, dtype=float).tolist())
+    if all(spec == "%s" for spec in specs):
+        return "\n".join(map(",".join, zip(*cells))) + "\n"
+    flat = cells[0] if len(cells) == 1 else chain.from_iterable(zip(*cells))
+    return ((",".join(specs) + "\n") * rows) % tuple(flat)
 
 
 def write_csv(dest, header, columns) -> None:
     """Write a header row, then one row per entry of the broadcast ``columns``, in C order.
 
     ``dest`` is a path (written as UTF-8, LF line endings) or an open text file.
-    Rows are rendered and written in blocks of about CSV_BLOCK_ROWS. A column
-    smaller than the table, such as a mesh axis passed as a broadcast view of
-    its 1-D nodes, is rendered once up front; a column passed twice (the same
-    object) is rendered once.
+    Rows are rendered and written in blocks of about CSV_BLOCK_ROWS, one
+    _render call per block. A column smaller than the table, such as a mesh
+    axis passed as a broadcast view of its 1-D nodes, is rendered once up
+    front; a column passed twice (the same object) is rendered once per
+    block. Every other value is formatted inline in its block's row template.
     """
     if not hasattr(dest, "write"):
         with open(dest, "w", encoding="utf-8", newline="") as fh:
@@ -293,10 +309,14 @@ def write_csv(dest, header, columns) -> None:
     shape = np.broadcast_shapes(*(a.shape for a in arrays))
     size = math.prod(shape)
 
+    def lines(a):
+        return _render([a.ravel()], a.size).splitlines()
+
     def source(a):
         # (strings rendered up front, their indices) or (None, the values)
         if a.size < size:
-            return _render(a.ravel()), np.broadcast_to(np.arange(a.size).reshape(a.shape), shape)
+            text = np.array(lines(a), dtype=object)
+            return text, np.broadcast_to(np.arange(a.size).reshape(a.shape), shape)
         return None, np.broadcast_to(a, shape)
 
     first = [next(i for i, c in enumerate(columns) if c is col) for col in columns]
@@ -305,8 +325,11 @@ def write_csv(dest, header, columns) -> None:
     step = max(1, CSV_BLOCK_ROWS * lead // max(size, 1))
     dest.write(",".join(header) + "\n")
     for start in range(0, lead, step):
-        text = {}
-        for j, (strings, values) in sources.items():
+        fields = {}
+        for j, (text, values) in sources.items():
             block = values[start:start + step].ravel()
-            text[j] = _render(block) if strings is None else [strings[k] for k in block.tolist()]
-        dest.write("\n".join(map(",".join, zip(*(text[j] for j in first)))) + "\n")
+            if text is not None:
+                fields[j] = text.take(block).tolist()
+            else:
+                fields[j] = lines(block) if first.count(j) > 1 else block
+        dest.write(_render([fields[j] for j in first], block.size))

@@ -19,6 +19,8 @@ reproduces the bytes exactly.
 
 import csv
 import math
+import os
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,17 +149,83 @@ def ingest_overlay(path) -> OverlaySeries:
     Malformed rows raise OverlayParseError naming the offending line (the
     header is line 1). Structural problems (fewer than two rows, abscissas
     not strictly increasing) raise OverlayValidationError.
+
+    The grammar is _read_rows: the csv module's default dialect, one float()
+    per field, blank lines skipped. The body is first parsed by one
+    np.loadtxt call; whatever that call does not return as a valid table is
+    read again by _read_rows, which reports the error.
     """
-    xs: list[float] = []
-    vals: list[float] = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise OverlayValidationError(f"{path}: empty overlay file") from None
+        except csv.Error as exc:
+            raise OverlayParseError(f"line {reader.line_num}: {exc}") from None
         if [c.strip() for c in header] != ["x", "value"]:
             raise OverlayParseError(f"line 1: expected header 'x,value', got {','.join(header)!r}")
+        table = _load_rows(fh, path)
+        if table is None:
+            fh.seek(0)
+            reader = csv.reader(fh)
+            next(reader)
+            table = _read_rows(reader, path)
+    x, v = table
+    x.flags.writeable = False
+    v.flags.writeable = False
+    return OverlaySeries(x=x, values=v, source=str(path))
+
+
+def _load_rows(fh, path):
+    """(x, values) of the rows left in ``fh`` by one np.loadtxt call, or None.
+
+    None unless numpy parses every row into two fields, the table has at
+    least two rows, every value is finite and x strictly increases, and no
+    line is long enough to hold a field past csv.field_size_limit(). Within
+    those bounds np.loadtxt and _read_rows accept the same rows with the same
+    values (both parse with PyOS_string_to_double; numpy takes ASCII only).
+    """
+    try:
+        with warnings.catch_warnings():
+            # a header-only file warns "input contained no data"
+            warnings.simplefilter("ignore")
+            data = np.loadtxt(fh, delimiter=",", comments=None, quotechar=None, ndmin=2)
+    except ValueError:
+        return None
+    if data.shape[0] < 2 or data.shape[1] != 2 or not np.all(np.isfinite(data)):
+        return None
+    if not np.all(np.diff(data[:, 0]) > 0.0) or not _lines_fit(path, csv.field_size_limit()):
+        return None
+    x, v = data.T.copy()
+    return x, v
+
+
+def _lines_fit(path, limit: int) -> bool:
+    """True when no line of the file can be longer than ``limit`` characters.
+
+    Reads the file in aligned blocks of (limit+1)//2 bytes: a line of more
+    than ``limit`` characters, so of more than ``limit`` UTF-8 bytes, holds a
+    whole block with no line break.
+    """
+    with open(path, "rb") as fh:
+        if os.fstat(fh.fileno()).st_size <= limit:
+            return True
+        step = max(1, (limit + 1) // 2)
+        while block := fh.read(step):
+            if len(block) == step and b"\n" not in block and b"\r" not in block:
+                return False
+    return True
+
+
+def _read_rows(reader, path):
+    """(x, values) from the rows of a csv reader positioned after the header.
+
+    This loop defines which rows an overlay may hold and every error about them.
+    """
+    xs: list[float] = []
+    vals: list[float] = []
+    try:
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -171,12 +239,12 @@ def ingest_overlay(path) -> OverlaySeries:
                 raise OverlayParseError(f"line {lineno}: non-finite value in {row!r}")
             xs.append(xi)
             vals.append(vi)
+    except csv.Error as exc:
+        # a field past csv.field_size_limit(), or a NUL before Python 3.11
+        raise OverlayParseError(f"line {reader.line_num}: {exc}") from None
     if len(xs) < 2:
         raise OverlayValidationError(f"{path}: overlay needs at least 2 rows, got {len(xs)}")
     x = np.asarray(xs)
     if not np.all(np.diff(x) > 0.0):
         raise OverlayValidationError(f"{path}: overlay abscissas must be strictly increasing")
-    v = np.asarray(vals)
-    x.flags.writeable = False
-    v.flags.writeable = False
-    return OverlaySeries(x=x, values=v, source=str(path))
+    return x, np.asarray(vals)

@@ -69,6 +69,21 @@ def _kernel(eta: float):
     return _KERNELS[eta]
 
 
+_MARGINALS: dict = {}
+
+
+def _marginal(eta: float, variable: str):
+    if (eta, variable) not in _MARGINALS:
+        _MARGINALS[eta, variable] = parton.longitudinal_density(eta, variable)
+    return _MARGINALS[eta, variable]
+
+
+def _ground_state_mesh(eta: float) -> np.ndarray:
+    """The ground state on the default mesh, as integrate_2d would evaluate it."""
+    x = default_grid().nodes
+    return oscillator.ground_state(x[:, None], x[None, :], eta)
+
+
 # --- numerics ---------------------------------------------------------------
 
 
@@ -198,27 +213,21 @@ def check_schmidt_vs_quadrature() -> CheckResult:
     dev = 0.0
     for e in (0.5, 1.0):
         coeffs = entanglement.schmidt_coefficients(e, k_max=10).coefficients
+        psi = _ground_state_mesh(e)
         for k in range(11):
-            proj = integrate_2d(
-                lambda a, b, e=e, k=k: hermite_fn(k, a)
-                * hermite_fn(k, b)
-                * oscillator.ground_state(a, b, e)
-            )
+            proj = integrate_2d(lambda a, b, k=k: hermite_fn(k, a) * hermite_fn(k, b) * psi)
             dev = max(dev, abs(proj - coeffs[k]))
     return _result("schmidt_vs_quadrature", dev, 1e-6, "c_k against direct double quadrature")
 
 
 def check_schmidt_offdiagonal() -> CheckResult:
     dev = 0.0
+    psi = _ground_state_mesh(1.0)
     for j in range(4):
         for k in range(4):
             if j == k:
                 continue
-            proj = integrate_2d(
-                lambda a, b, j=j, k=k: hermite_fn(j, a)
-                * hermite_fn(k, b)
-                * oscillator.ground_state(a, b, 1.0)
-            )
+            proj = integrate_2d(lambda a, b, j=j, k=k: hermite_fn(j, a) * hermite_fn(k, b) * psi)
             dev = max(dev, abs(proj))
     return _result("schmidt_offdiagonal", dev, 1e-8, "expansion is diagonal in the Fock index")
 
@@ -453,7 +462,7 @@ def check_marginal_variance_law() -> CheckResult:
     dev = 0.0
     for e in (0.0, 0.5, 1.0, 2.0):
         for var in ("z", "qz"):
-            m = parton.longitudinal_density(e, var)
+            m = _marginal(e, var)
             dev = max(dev, abs(m.variance - math.cosh(e) / 2.0))
     return _result("marginal_variance_law", dev, 1e-6, "position and momentum widths co-grow")
 
@@ -471,8 +480,8 @@ def check_width_co_growth() -> CheckResult:
     prods = []
     dev = 0.0
     for e in etas:
-        sz = math.sqrt(parton.longitudinal_density(e, "z").variance)
-        sq = math.sqrt(parton.longitudinal_density(e, "qz").variance)
+        sz = math.sqrt(_marginal(e, "z").variance)
+        sq = math.sqrt(_marginal(e, "qz").variance)
         prods.append(sz * sq)
         dev = max(dev, abs(sz * sq - math.cosh(e) / 2.0))
     dev = max(dev, float(np.max(-np.diff(prods))), 0.0)

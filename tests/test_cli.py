@@ -77,6 +77,14 @@ class TestEntangle:
         assert lines[0] == "x,x_prime,value"
         assert len(lines) == 1 + 81
 
+    def test_kmax_past_cap_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "p.csv"
+        assert run(["entangle", "--eta=1", "--kmax=100000000", f"--csv={out}"]) == 1
+        assert capsys.readouterr().err == (
+            "coupledosc: error: k_max must be at most 100000, got 100000000\n"
+        )
+        assert not out.exists()
+
     def test_underresolved_kernel_exits_1(self, tmp_path, capsys):
         out = tmp_path / "kern.csv"
         assert run(["entangle", "--eta", "3", "--kernel-csv", str(out)]) == 1

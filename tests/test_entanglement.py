@@ -6,6 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from coupledosc.entanglement import (
+    K_MAX_CAP,
     effective_temperature,
     entropy,
     purity,
@@ -69,6 +70,13 @@ class TestSchmidt:
             schmidt_coefficients(math.inf)
         with pytest.raises(ValueError):
             schmidt_coefficients(1.0, k_max=-1)
+
+    @pytest.mark.parametrize("fn", [schmidt_coefficients, reduced_state, purity_series])
+    @pytest.mark.parametrize("k_max", [K_MAX_CAP + 1, 10**8, 10**30])
+    def test_k_max_cap(self, fn, k_max):
+        # rejected before anything is allocated
+        with pytest.raises(ValueError, match=f"k_max must be at most {K_MAX_CAP}, got {k_max}$"):
+            fn(1.0, k_max=k_max)
 
 
 class TestReducedState:
