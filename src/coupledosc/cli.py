@@ -110,13 +110,22 @@ def cmd_boost(args) -> int:
 
 
 def cmd_parton(args) -> int:
+    import numpy as np
+
     from . import parton
     from .numerics import write_csv
 
     if args.overlay:
         series = parton.ingest_overlay(args.overlay)
         shift, scale = args.rescale if args.rescale else (0.0, 1.0)
-        coords = shift + scale * series.x
+        with np.errstate(over="ignore"):
+            coords = shift + scale * series.x
+        if not np.all(np.isfinite(coords)):
+            x = series.x[~np.isfinite(coords)][0]
+            raise ValueError(
+                f"--rescale {shift:g},{scale:g} takes overlay x = {x:g} past the float range; "
+                f"use a smaller scale or shift"
+            )
         dens = parton.model_density(args.eta, coords)
         header = ("coordinate", "model_density", "overlay_value")
         write_csv(args.out, header, (coords, dens, series.values))

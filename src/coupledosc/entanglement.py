@@ -24,6 +24,7 @@ asymptotically. S is even in eta and vanishes only at eta = 0.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -175,7 +176,8 @@ def effective_temperature(eta: float, omega: float = 1.0) -> ThermalMap:
 
     tanh^2(eta/2) = e^{-x} with x = hbar omega / kB T, so T = omega/x (units
     hbar = kB = 1). eta = 0 is the zero-temperature limit (x -> infinity) and
-    is rejected explicitly rather than returning an infinity.
+    is rejected explicitly rather than returning an infinity, as is an omega
+    so large that omega/x overflows.
     """
     eta = check_eta(eta)
     if not math.isfinite(omega) or omega <= 0.0:
@@ -185,7 +187,14 @@ def effective_temperature(eta: float, omega: float = 1.0) -> ThermalMap:
     x = 2.0 * _ln_coth_half(abs(eta))
     if x <= 0.0:
         raise ValueError(f"|eta| = {abs(eta):g} is too large: x underflows to zero")
-    return ThermalMap(omega=float(omega), x=x, temperature=float(omega) / x)
+    temperature = float(omega) / x
+    if not math.isfinite(temperature):
+        # here x < 1, so the largest usable omega, x * float max, is finite
+        raise ValueError(
+            f"T = omega/x overflows a float at |eta| = {abs(eta):g} (x = {x:.6g}); "
+            f"omega must be at most {x * sys.float_info.max:.6g}, got {omega:g}"
+        )
+    return ThermalMap(omega=float(omega), x=x, temperature=temperature)
 
 
 def thermal_entropy(x: float) -> float:

@@ -46,6 +46,13 @@ COSH_ETA_MAX, EXP_ETA_MAX = math.acosh(sys.float_info.max), math.log(sys.float_i
 # rows per write_csv block: bounded memory, and each block's fixed cost spread over many rows
 CSV_BLOCK_ROWS = 1024
 
+# rows (or columns) of an N x N mesh reduced at a time: 64 x 1201 floats is 0.6 MB, inside L2.
+# A multiple of the row groups of OpenBLAS gemv, so each reduced value keeps its bits.
+MESH_BLOCK_ROWS = 64
+
+# largest (k_max + 1) * points table hermite_basis builds: 2^24 floats, 128 MiB
+HERMITE_MAX_VALUES = 1 << 24
+
 
 class GridResolutionError(ValueError):
     """Raised when a grid cannot resolve or contain the requested state."""
@@ -126,11 +133,16 @@ def default_grid() -> QuadratureGrid:
     return uniform_grid()
 
 
+def blocks(count: int, size: int) -> list[slice]:
+    """Consecutive slices of at most ``size`` items that cover range(count) in order."""
+    return [slice(start, start + size) for start in range(0, count, size)]
+
+
 def hermite_fn(k: int, x):
     """Orthonormal Hermite function phi_k evaluated at x (scalar or array).
 
     Row k of hermite_basis on the flattened points, so both share one
-    recurrence. Stable and accurate for k up to at least 128.
+    recurrence and its size cap. Stable and accurate for k up to at least 128.
     """
     if not isinstance(k, (int, np.integer)) or isinstance(k, bool):
         raise ValueError(f"order k must be an integer, got {k!r}")
@@ -140,10 +152,19 @@ def hermite_fn(k: int, x):
 
 
 def hermite_basis(k_max: int, x: np.ndarray) -> np.ndarray:
-    """Stack phi_0..phi_{k_max} on the points x; returns shape (k_max+1, len(x))."""
+    """Stack phi_0..phi_{k_max} on the points x; returns shape (k_max+1, len(x)).
+
+    ValueError, before anything is allocated, when the table would hold more
+    than HERMITE_MAX_VALUES floats.
+    """
     if k_max < 0:
         raise ValueError(f"k_max must be nonnegative, got {k_max}")
     xa = np.asarray(x, dtype=float)
+    if (int(k_max) + 1) * xa.size > HERMITE_MAX_VALUES:
+        raise ValueError(
+            f"a Hermite table of (k_max + 1) x points = {int(k_max) + 1} x {xa.size} values "
+            f"exceeds the cap of {HERMITE_MAX_VALUES}; lower k_max or pass fewer points"
+        )
     if not np.all(np.isfinite(xa)):
         raise ValueError("hermite_basis requires finite arguments")
     out = np.empty((k_max + 1, xa.size))
@@ -324,10 +345,10 @@ def write_csv(dest, header, columns) -> None:
     lead = shape[0] if size else 0
     step = max(1, CSV_BLOCK_ROWS * lead // max(size, 1))
     dest.write(",".join(header) + "\n")
-    for start in range(0, lead, step):
+    for rows in blocks(lead, step):
         fields = {}
         for j, (text, values) in sources.items():
-            block = values[start:start + step].ravel()
+            block = values[rows].ravel()
             if text is not None:
                 fields[j] = text.take(block).tolist()
             else:

@@ -57,17 +57,35 @@ class NormalModeData:
 
 
 def normal_modes(params: CoupledParams) -> NormalModeData:
-    """Diagonalize the potential: K, the squeeze parameter eta, and the mode frequencies."""
-    K = math.sqrt(params.A**2 - params.C**2)
-    eta = 0.25 * math.log((params.A - params.C) / (params.A + params.C))
+    """Diagonalize the potential: K, the squeeze parameter eta, and the mode frequencies.
+
+    Where A^2 overflows (A above about 1.3e154), K and eta are taken from the
+    halves A/2 -+ C/2, whose sum and difference cannot overflow. ValueError
+    when a mode frequency overflows a float (K/m too large).
+    """
+    A, C = params.A, params.C
+    try:
+        K = math.sqrt(A**2 - C**2)
+        ratio = (A - C) / (A + C)
+    except OverflowError:
+        diff, total = 0.5 * A - 0.5 * C, 0.5 * A + 0.5 * C
+        K = 2.0 * math.sqrt(diff) * math.sqrt(total)
+        ratio = diff / total
+    eta = 0.25 * math.log(ratio)
     omega = math.sqrt(K / params.m)
-    return NormalModeData(
+    modes = NormalModeData(
         K=K,
         eta=eta,
         omega=omega,
         omega_plus=omega * math.exp(eta),
         omega_minus=omega * math.exp(-eta),
     )
+    if not math.isfinite(max(modes.omega_plus, modes.omega_minus)):
+        raise ValueError(
+            f"the mode frequencies sqrt(K/m) e^(+-eta) overflow a float for "
+            f"K = {K:g}, m = {params.m:g}; use a larger m or a smaller A"
+        )
+    return modes
 
 
 def to_normal(x1, x2):

@@ -35,6 +35,18 @@ class TestModes:
         assert run(["modes", "--m", "1", "--A", "1", "--C", "2"]) == 1
         assert "bound state" in capsys.readouterr().err
 
+    def test_huge_stiffness(self, capsys):
+        # A^2 overflows a float; K = sqrt(A^2 - C^2) is still 1e200
+        assert run(["modes", "--m=1", "--A=1e200", "--C=-3"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["K"], payload["eta"], payload["omega"]) == (1e200, 0.0, 1e100)
+
+    def test_overflowing_frequency_exits_1(self, capsys):
+        assert run(["modes", "--m=1e-300", "--A=1e10", "--C=0"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("coupledosc: error: the mode frequencies")
+
 
 class TestEntangle:
     def test_summary_payload(self, capsys):
@@ -84,6 +96,12 @@ class TestEntangle:
             "coupledosc: error: k_max must be at most 100000, got 100000000\n"
         )
         assert not out.exists()
+
+    def test_overflowing_temperature_exits_1(self, capsys):
+        assert run(["entangle", "--eta=5", "--omega=1e308"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "omega must be at most 4.84518e+306" in err
 
     def test_underresolved_kernel_exits_1(self, tmp_path, capsys):
         out = tmp_path / "kern.csv"
@@ -187,6 +205,20 @@ class TestParton:
         assert run(["parton", "--eta", "0", "--overlay", str(ov), "--out", str(tmp_path / "o.csv")]) == 1
         assert "line 3" in capsys.readouterr().err
 
+    def test_rescale_past_float_range_exits_1(self, tmp_path, capsys):
+        ov = tmp_path / "ov.csv"
+        ov.write_text("x,value\n0,1\n1e300,2\n", encoding="utf-8", newline="")
+        out = tmp_path / "o.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["parton", "--eta=1", f"--overlay={ov}", "--rescale=0,1e10", f"--out={out}"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "coupledosc: error: --rescale 0,1e+10 takes overlay x = 1e+300 past the float range; "
+            "use a smaller scale or shift\n"
+        )
+        assert not out.exists()
+
     def test_bad_rescale_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run(["parton", "--eta", "0", "--rescale", "1;2", "--out", str(tmp_path / "o.csv")])
@@ -217,6 +249,12 @@ class TestSweep:
         run(["sweep", "--start", "0", "--stop", "3", "--steps", "13", "--out", str(a)])
         run(["sweep", "--start", "0", "--stop", "3", "--steps", "13", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+    def test_overflowing_temperature_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        assert run(["sweep", "--start=0", "--stop=5", "--steps=3", "--omega=1e308", f"--out={out}"]) == 1
+        assert "T = omega/x overflows a float" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_reversed_range_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

@@ -175,6 +175,13 @@ class TestThermalMap:
         with pytest.raises(ValueError):
             effective_temperature(1.0, omega=-2.0)
 
+    def test_temperature_overflow_names_the_limit(self):
+        x = effective_temperature(5.0).x
+        limit = x * np.finfo(float).max
+        with pytest.raises(ValueError, match=r"omega must be at most 4\.84518e\+306, got 1e\+308"):
+            effective_temperature(5.0, omega=1e308)
+        assert math.isfinite(effective_temperature(5.0, omega=limit * (1 - 1e-15)).temperature)
+
     def test_survives_extreme_squeeze(self):
         # tanh(eta/2) rounds to 1 here; the log1p route must keep x > 0
         tm = effective_temperature(99.0)

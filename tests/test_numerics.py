@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from coupledosc import covariant, entanglement, oscillator, parton
+from coupledosc import covariant, entanglement, numerics, oscillator, parton
 from coupledosc.numerics import (
+    HERMITE_MAX_VALUES,
     DensityKernel,
     EtaRangeError,
     GridResolutionError,
+    blocks,
     check_resolution,
     default_grid,
     hermite_basis,
@@ -98,6 +100,39 @@ class TestHermite:
             hermite_fn(2, np.inf)
         with pytest.raises(ValueError):
             hermite_fn(2, np.array([0.0, np.nan]))
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: hermite_basis(HERMITE_MAX_VALUES, np.zeros(1)),
+            lambda: hermite_basis(10**30, np.zeros(1)),
+            lambda: hermite_fn(10**12, 0.0),
+            lambda: hermite_fn(2000, np.zeros((100, 100))),
+        ],
+        ids=["basis-at-cap", "basis-huge-k", "fn-huge-k", "fn-many-points"],
+    )
+    def test_table_cap_rejects_before_allocating(self, call):
+        # each table would take 128 MiB to 8e18 TB; the cap must refuse first
+        with pytest.raises(ValueError, match="exceeds the cap"):
+            call()
+
+    def test_table_cap_boundary(self, monkeypatch):
+        monkeypatch.setattr(numerics, "HERMITE_MAX_VALUES", 12)
+        assert hermite_basis(3, np.zeros(3)).shape == (4, 3)
+        assert hermite_basis(11, np.zeros(1)).shape == (12, 1)
+        assert hermite_fn(5, np.zeros(2)).shape == (2,)
+        for call in (lambda: hermite_basis(3, np.zeros(4)), lambda: hermite_basis(12, np.zeros(1)),
+                     lambda: hermite_fn(5, np.zeros(3))):
+            with pytest.raises(ValueError, match=r"exceeds the cap of 12"):
+                call()
+
+
+@pytest.mark.parametrize("count", [0, 1, 63, 64, 65, 128, 1201])
+@pytest.mark.parametrize("size", [1, 64, 1000])
+def test_blocks_cover_the_range_in_order(count, size):
+    parts = blocks(count, size)
+    assert [i for part in parts for i in range(count)[part]] == list(range(count))
+    assert all(0 < len(range(count)[part]) <= size for part in parts)
 
 
 class TestIntegration:

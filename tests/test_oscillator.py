@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -65,6 +66,34 @@ class TestNormalModes:
     def test_mode_product_recovers_omega(self, m, a, cf):
         modes = normal_modes(CoupledParams(m=m, A=a, C=cf * a))
         assert_allclose(modes.omega_plus * modes.omega_minus, modes.omega**2, rtol=1e-12)
+
+    @pytest.mark.parametrize(
+        "a, c",
+        [(1e200, -3.0), (1e308, -9e307), (1.7e308, 1.6e308)],
+        ids=["A-squared-overflows", "A-minus-C-overflows", "A-plus-C-overflows"],
+    )
+    def test_huge_couplings(self, a, c):
+        with localcontext() as ctx:
+            ctx.prec = 50
+            A, C = Decimal(a), Decimal(c)
+            k = float((A * A - C * C).sqrt())
+            eta = float(((A - C) / (A + C)).ln() / 4)
+        modes = normal_modes(CoupledParams(m=1.0, A=a, C=c))
+        assert_allclose(modes.K, k, rtol=1e-15)
+        assert_allclose(modes.eta, eta, rtol=1e-15, atol=1e-16)
+        assert_allclose(modes.omega, math.sqrt(k), rtol=1e-15)
+
+    @given(st.floats(1e-3, 1e3), st.floats(1e-150, 1e150), st.floats(-0.999, 0.999))
+    def test_in_range_bits_unchanged(self, m, a, cf):
+        # below the overflow branch K and eta are the plain A^2 - C^2 forms
+        c = cf * a
+        modes = normal_modes(CoupledParams(m=m, A=a, C=c))
+        assert modes.K == math.sqrt(a**2 - c**2)
+        assert modes.eta == 0.25 * math.log((a - c) / (a + c))
+
+    def test_overflowing_frequency_is_a_value_error(self):
+        with pytest.raises(ValueError, match="overflow a float"):
+            normal_modes(CoupledParams(m=1e-300, A=1e10, C=0.0))
 
 
 class TestCoordinateRotation:

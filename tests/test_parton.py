@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from coupledosc.numerics import GridResolutionError, uniform_grid
+from coupledosc import covariant
+from coupledosc.numerics import MESH_BLOCK_ROWS, GridResolutionError, default_grid, uniform_grid
 from coupledosc.parton import (
     OverlayParseError,
     OverlaySeries,
@@ -81,6 +86,96 @@ class TestLightconeFraction:
         wide = uniform_grid(count=1201, extent=24.0)
         fracs = [lightcone_fraction(e, band=0.5, grid=wide) for e in (0.0, 1.0, 2.0, 4.0)]
         assert np.all(np.diff(fracs) > 0)
+
+
+def _full_mesh_density(eta, variable, grid):
+    """(density, variance) from the whole N x N mesh: the reference for the blocked route."""
+    a, b = grid.nodes[:, None], grid.nodes[None, :]
+    if variable == "z":
+        amp = covariant.boosted_wavefunction(a, b, eta)
+    else:
+        amp = covariant.momentum_wavefunction(a, b, eta)
+    dens = (amp * amp) @ grid.weights
+    dens = dens / float(grid.weights @ dens)
+    mean = float(grid.weights @ (grid.nodes * dens))
+    return dens, float(grid.weights @ ((grid.nodes - mean) ** 2 * dens))
+
+
+def _full_mesh_fraction(eta, band, grid):
+    """lightcone_fraction from the whole N x N mesh: the reference for the blocked route."""
+    z, t = grid.nodes[:, None], grid.nodes[None, :]
+    rho = covariant.boosted_wavefunction(z, t, eta) ** 2
+    V = (z - t) / math.sqrt(2.0)
+    total = float(grid.weights @ rho @ grid.weights)
+    inside = float(grid.weights @ np.where(np.abs(V) < band, rho, 0.0) @ grid.weights)
+    return inside / total
+
+
+# prints repr of (whole mesh, blocked) for verify's lightcone input, in a fresh process
+_ONE_THREAD_FRACTIONS = (
+    "import runpy, sys\n"
+    "from coupledosc.numerics import uniform_grid\n"
+    "from coupledosc.parton import lightcone_fraction\n"
+    "ref = runpy.run_path(sys.argv[1])['_full_mesh_fraction']\n"
+    "g = uniform_grid(count=1201, extent=24.0)\n"
+    "print(repr(ref(4.0, 0.5, g)), repr(lightcone_fraction(4.0, band=0.5, grid=g)))\n"
+)
+
+EDGE_COUNTS = [2, 3, MESH_BLOCK_ROWS - 1, MESH_BLOCK_ROWS, MESH_BLOCK_ROWS + 1, 129, 801]
+
+
+class TestBlockedReductions:
+    """The slab-at-a-time reductions against the whole-mesh code they replaced."""
+
+    @pytest.mark.parametrize("eta", [0.0, 0.5, 1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("variable", ["z", "qz"])
+    def test_density_bits_on_verify_inputs(self, eta, variable):
+        m = longitudinal_density(eta, variable)
+        dens, var = _full_mesh_density(eta, variable, default_grid())
+        assert np.array_equal(m.density, dens)
+        assert repr(m.variance) == repr(var)
+
+    def test_fraction_bits_on_verify_input(self):
+        # OpenBLAS splits the whole mesh's 1201-column gemv across threads
+        # unevenly, which can move the reference's last bit; on one thread it
+        # is the sum the blocked route forms whatever the thread count
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), OPENBLAS_NUM_THREADS="1",
+                   OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+        out = subprocess.run([sys.executable, "-c", _ONE_THREAD_FRACTIONS, __file__],
+                             capture_output=True, text=True, env=env, timeout=120, check=True)
+        reference, blocked_one_thread = out.stdout.split()
+        frac = lightcone_fraction(4.0, band=0.5, grid=uniform_grid(count=1201, extent=24.0))
+        assert repr(frac) == blocked_one_thread == reference
+
+    @pytest.mark.parametrize("count", EDGE_COUNTS)
+    @pytest.mark.parametrize("variable", ["z", "qz"])
+    def test_density_on_block_edges(self, count, variable):
+        g = uniform_grid(count=count, extent=8.0)
+        m = longitudinal_density(1.0, variable, grid=g)
+        dens, var = _full_mesh_density(1.0, variable, g)
+        assert_allclose(m.density, dens, rtol=1e-14, atol=0.0)
+        assert_allclose(m.variance, var, rtol=1e-14)
+
+    @pytest.mark.parametrize("count", EDGE_COUNTS)
+    @pytest.mark.parametrize("band", [0.0, 0.5, 1e9])
+    def test_fraction_on_block_edges(self, count, band):
+        g = uniform_grid(count=count, extent=8.0)
+        frac = lightcone_fraction(1.0, band=band, grid=g)
+        assert_allclose(frac, _full_mesh_fraction(1.0, band, g), rtol=1e-14, atol=0.0)
+        if band == 0.0:
+            assert frac == 0.0
+
+    def test_fraction_memory_is_a_few_slabs(self):
+        g = uniform_grid(count=1201, extent=24.0)
+        lightcone_fraction(4.0, band=0.5, grid=g)  # warm up lazy imports and caches
+        tracemalloc.start()
+        try:
+            lightcone_fraction(4.0, band=0.5, grid=g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one 1201^2 float mesh alone is 11.5 MB
+        assert peak < 8e6
 
 
 class TestExport:
