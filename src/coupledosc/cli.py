@@ -138,8 +138,9 @@ def _write_sweep(dest, start: float, stop: float, steps: int, omega: float) -> N
     import numpy as np
 
     from . import entanglement, parton
-    from .numerics import write_csv
+    from .numerics import check_table_size, write_csv
 
+    check_table_size(steps, f"a sweep of --steps={steps} rows", "use fewer steps")
     etas = np.linspace(start, stop, steps)
 
     def temperature(eta):

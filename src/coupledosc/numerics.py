@@ -29,7 +29,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
+from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
@@ -50,8 +50,9 @@ CSV_BLOCK_ROWS = 1024
 # A multiple of the row groups of OpenBLAS gemv, so each reduced value keeps its bits.
 MESH_BLOCK_ROWS = 64
 
-# largest (k_max + 1) * points table hermite_basis builds: 2^24 floats, 128 MiB
-HERMITE_MAX_VALUES = 1 << 24
+# largest table of floats any call builds: 2^24, 128 MiB. A Hermite table is (k_max + 1) x
+# points, a grid is used as a count x count mesh, a parton export or sweep has a row per point.
+MAX_TABLE_VALUES = 1 << 24
 
 
 class GridResolutionError(ValueError):
@@ -68,6 +69,15 @@ def check_eta(eta) -> float:
     if not math.isfinite(eta):
         raise ValueError("eta must be finite")
     return eta
+
+
+def check_table_size(values: int, table: str, remedy: str) -> None:
+    """ValueError when ``table``, of ``values`` floats, would exceed MAX_TABLE_VALUES.
+
+    Callers check before they allocate; ``remedy`` says how to stay under the cap.
+    """
+    if values > MAX_TABLE_VALUES:
+        raise ValueError(f"{table} ({values} values) exceeds the cap of {MAX_TABLE_VALUES}; {remedy}")
 
 
 def eta_range_error(eta: float, form: str, limit: float) -> EtaRangeError:
@@ -112,10 +122,12 @@ def uniform_grid(count: int = DEFAULT_COUNT, extent: float = DEFAULT_EXTENT) -> 
     """Build the trapezoid grid used by every quadrature oracle and the boost mesh.
 
     ValueError unless the extent and the spacing 2*extent/(count-1) are both
-    finite and positive.
+    finite and positive, and unless the count x count mesh fits MAX_TABLE_VALUES.
     """
     if count < 2:
         raise ValueError(f"grid needs at least 2 nodes, got {count}")
+    side = math.isqrt(MAX_TABLE_VALUES)
+    check_table_size(int(count) ** 2, f"a {count} x {count} mesh", f"use at most {side} grid nodes")
     h = 2.0 * extent / (count - 1)
     if not 0.0 < h < math.inf:
         raise ValueError(
@@ -155,16 +167,14 @@ def hermite_basis(k_max: int, x: np.ndarray) -> np.ndarray:
     """Stack phi_0..phi_{k_max} on the points x; returns shape (k_max+1, len(x)).
 
     ValueError, before anything is allocated, when the table would hold more
-    than HERMITE_MAX_VALUES floats.
+    than MAX_TABLE_VALUES floats.
     """
     if k_max < 0:
         raise ValueError(f"k_max must be nonnegative, got {k_max}")
     xa = np.asarray(x, dtype=float)
-    if (int(k_max) + 1) * xa.size > HERMITE_MAX_VALUES:
-        raise ValueError(
-            f"a Hermite table of (k_max + 1) x points = {int(k_max) + 1} x {xa.size} values "
-            f"exceeds the cap of {HERMITE_MAX_VALUES}; lower k_max or pass fewer points"
-        )
+    rows = int(k_max) + 1
+    check_table_size(rows * xa.size, f"a Hermite table of (k_max + 1) x points = {rows} x {xa.size}",
+                     "lower k_max or pass fewer points")
     if not np.all(np.isfinite(xa)):
         raise ValueError("hermite_basis requires finite arguments")
     out = np.empty((k_max + 1, xa.size))
@@ -287,40 +297,144 @@ def oracle_reduced_density(eta: float, grid: QuadratureGrid | None = None) -> De
     return DensityKernel(_readonly(a @ a.T), g)
 
 
-def _render(fields: list, rows: int) -> str:
-    """``rows`` LF-terminated CSV lines, one field per entry of ``fields``.
+# _render lays each value out in a W-byte cell of four little-endian words: the sign and a
+# "0.000" prefix; a "0" and the fifteen digits, among which the dot is placed; "e+dd[d]" and,
+# in the last byte, the delimiter. Unused bytes are NUL, and write_csv drops them.
+W = 32
+_WORD = np.dtype("<u8")
+_MINUS = np.uint64(ord("-"))
+_TINY, _HUGE = np.finfo(float).tiny, np.finfo(float).max
+# The tables are indexed by k = e + _E0, over the decimal exponents e of finite doubles.
+_E0 = 330
+# The scaled value m < 1e15 carries the scale table's error (at most 1 eps, checked by
+# tests/test_csv.py) and one rounding, so its fraction is off by less than 2 eps * 1e15.
+# A value whose fraction lies within _ROUND_MARGIN of 0.5 might round either way, and
+# Python formats it. Where long double is only double, the margin exceeds 0.5 and
+# Python formats every value.
+_ROUND_MARGIN = 16 * float(np.finfo(np.longdouble).eps) * 1e15
+# Python formats a block of fewer values: the vector path's fixed cost, about 60 numpy
+# calls, exceeds Python's 0.5-1 us a value below about 128 values
+_VECTOR_MIN = 128
 
-    Each field holds one value per row: a float array (written at %.15g), an
-    integer array (written as decimals) or a list of strings rendered earlier.
-    A block with a numeric field is one %-format call on a row template; a
-    block of strings only is joined.
+
+def _words(text: list) -> np.ndarray:
+    """Byte strings of at most 8 bytes as little-endian words, NUL-padded."""
+    return np.array(text, dtype="S8").view(_WORD)
+
+
+@lru_cache(maxsize=1)
+def _tables() -> SimpleNamespace:
+    """_render's lookup tables, built on first use so that commands writing no CSV skip them.
+
+    scale[k]    10**(14 - e) in long double, each correctly rounded by the parser
+    point[k]    digits before the dot: %g writes -4 <= e < 15 in fixed notation,
+                keeping every integer digit, else as d.ddd and an exponent
+    prefix[k]   "0.", "0.0", ... for fixed notation below 1, after a free sign byte
+    exp[k]      "e+dd" or "e-ddd" for exponent notation
+    dig4[g]     the four ASCII digits of g < 10**4, as a word's low half (dig4_hi: high)
+    end[j][g]   for digit group j, one past g's last nonzero digit in the digit region;
+                0 if g = 0
+    moved_lo, moved_hi, kept_lo, kept_hi, dot_lo, dot_hi
+                low and high words of the digit-region masks at point * 17 + stop. The
+                region holds "0" and the fifteen digits. The first ``point`` digits move
+                down one byte, over the "0" (moved); a dot takes the byte they free when a
+                kept digit follows it; the digits after it stay (kept) up to region byte
+                ``stop``, and the trailing zeros past it drop.
     """
-    specs, cells = [], []
-    for f in fields:
-        if isinstance(f, list):
-            specs.append("%s")
-            cells.append(f)
-        elif f.dtype.kind in "iu":
-            specs.append("%d")
-            cells.append(f.tolist())
-        else:
-            specs.append("%.15g")
-            cells.append(np.asarray(f, dtype=float).tolist())
-    if all(spec == "%s" for spec in specs):
-        return "\n".join(map(",".join, zip(*cells))) + "\n"
-    flat = cells[0] if len(cells) == 1 else chain.from_iterable(zip(*cells))
-    return ((",".join(specs) + "\n") * rows) % tuple(flat)
+    exponents, fixed = range(-_E0, _E0 + 1), range(-4, 15)
+    d2 = _words([b"%02d" % g for g in range(100)])
+    dig4 = (d2[:, None] | d2 << 16).ravel()
+    # one past the last nonzero digit of two digits g, then of four digits 100 a + b
+    last2 = np.array([0] + [1 if g % 10 == 0 else 2 for g in range(1, 100)], np.uint8)
+    last4 = np.where(last2 > 0, last2 + 2, last2[:, None]).ravel()
+    i = np.arange(16)
+    point, stop = np.arange(16)[:, None, None], np.arange(17)[None, :, None]
+
+    def region(name, mask):
+        words = np.broadcast_to(mask, (16, 17, 16)).astype(np.uint8).reshape(-1, 16).view(_WORD)
+        return {f"{name}_lo": words[:, 0].copy(), f"{name}_hi": words[:, 1].copy()}
+
+    return SimpleNamespace(
+        scale=np.fromstring(" ".join(f"1e{14 - e}" for e in exponents), np.longdouble, sep=" "),
+        point=np.array([max(e + 1, 0) if e in fixed else 1 for e in exponents]),
+        prefix=_words([b"\0" + b"0.000"[: 1 - e] if e in fixed and e < 0 else b"" for e in exponents]),
+        exp=_words([b"" if e in fixed else b"e%+03d" % e for e in exponents]),
+        dig4=dig4,
+        dig4_hi=dig4 << 32,
+        end=[np.where(last4 > 0, last4 + 4 * j, 0).astype(np.uint8) for j in range(4)],
+        **region("moved", (i < point) * 255),
+        **region("kept", ((i > point) & (i < stop)) * 255),
+        **region("dot", ((i == point) & (stop > point + 1) & (point > 0)) * ord(".")),
+    )
+
+
+def _cells(text: list) -> np.ndarray:
+    """Strings of at most W - 1 ASCII characters as NUL-padded (len, W) cells."""
+    return np.array(text, dtype=f"S{W}").view(np.uint8).reshape(-1, W)
+
+
+def _render(values: np.ndarray) -> np.ndarray:
+    """The 1-D ``values`` as an (n, W) uint8 array of NUL-padded cells, last byte free.
+
+    Integers are written as %d. Floats are written exactly as %.15g writes
+    them: m = |x| 10**(14 - e), e = floor(log10 |x|), is formed in long double
+    and rounded to the 15-digit integer r, whose digits are laid out in %g's
+    fixed or exponent form. Python formats what this cannot get right for
+    certain: zeros, subnormals, non-finite values, values whose e comes out
+    off by one, and values within _ROUND_MARGIN of a rounding tie. It also
+    formats blocks of fewer than _VECTOR_MIN values, where it is faster.
+    """
+    if values.dtype.kind in "iu":
+        return _cells(["%d" % v for v in values.tolist()])
+    x = np.asarray(values, dtype=float)
+    if x.size < _VECTOR_MIN or _ROUND_MARGIN >= 0.5:
+        return _cells(["%.15g" % v for v in x.tolist()])
+    t = _tables()
+    a = np.abs(x)
+    exact = (a >= _TINY) & (a <= _HUGE)
+    a = np.where(exact, a, 1.0)
+    # k is e + _E0 give or take one; where it is off, m leaves [1e14, 1e15) and Python
+    # formats the value. This takes every m that would round up to 1e15: within 5e-16
+    # of the next power of ten, log10 |x| + _E0 rounds up to it, and m falls below 1e14.
+    k = (np.log10(a) + _E0).astype(np.intp)
+    m = a.astype(np.longdouble) * t.scale[k]
+    r = m.astype(np.int64)
+    frac = (m - r).astype(float)
+    exact &= (r >= 10**14) & (r < 10**15) & (np.abs(frac - 0.5) > _ROUND_MARGIN)
+    r += frac > 0.5
+    # the digit region: "0" and r's 15 digits, in groups of four, as two words
+    hi, lo = np.divmod(r, 10**8)
+    g0, g1 = np.divmod(hi, 10**4)
+    g2, g3 = np.divmod(lo, 10**4)
+    dig4, dig4_hi, end = t.dig4, t.dig4_hi, t.end
+    w1, w2 = dig4[g0] | dig4_hi[g1], dig4[g2] | dig4_hi[g3]
+    stop = np.maximum(np.maximum(end[0][g0], end[1][g1]), np.maximum(end[2][g2], end[3][g3]))
+    point = t.point[k]
+    code = point * 17 + np.maximum(stop, point + 1)
+    cells = np.empty((x.size, 4), _WORD)
+    cells[:, 0] = t.prefix[k] | np.signbit(x) * _MINUS
+    cells[:, 1] = ((w1 >> 8) | (w2 << 56)) & t.moved_lo[code] | w1 & t.kept_lo[code] | t.dot_lo[code]
+    cells[:, 2] = (w2 >> 8) & t.moved_hi[code] | w2 & t.kept_hi[code] | t.dot_hi[code]
+    cells[:, 3] = t.exp[k]
+    cells = cells.view(np.uint8)
+    inexact = np.flatnonzero(~exact)
+    if inexact.size:
+        cells[inexact] = _cells(["%.15g" % v for v in x[inexact].tolist()])
+    return cells
 
 
 def write_csv(dest, header, columns) -> None:
     """Write a header row, then one row per entry of the broadcast ``columns``, in C order.
 
     ``dest`` is a path (written as UTF-8, LF line endings) or an open text file.
-    Rows are rendered and written in blocks of about CSV_BLOCK_ROWS, one
-    _render call per block. A column smaller than the table, such as a mesh
-    axis passed as a broadcast view of its 1-D nodes, is rendered once up
-    front; a column passed twice (the same object) is rendered once per
-    block. Every other value is formatted inline in its block's row template.
+    Rows are rendered and written in blocks of about CSV_BLOCK_ROWS. Each
+    column's block becomes _render's cells; the cells are set side by side, a
+    "," or LF goes in each cell's last byte, one bytes.translate drops the NUL
+    padding, and the block is written as one string. A column smaller than
+    the table, such as a mesh axis passed as a broadcast view of its 1-D
+    nodes, is rendered once up front and its cells gathered per block; a
+    column passed twice (the same object) is rendered once per block and its
+    cells copied.
     """
     if not hasattr(dest, "write"):
         with open(dest, "w", encoding="utf-8", newline="") as fh:
@@ -330,27 +444,23 @@ def write_csv(dest, header, columns) -> None:
     shape = np.broadcast_shapes(*(a.shape for a in arrays))
     size = math.prod(shape)
 
-    def lines(a):
-        return _render([a.ravel()], a.size).splitlines()
-
     def source(a):
-        # (strings rendered up front, their indices) or (None, the values)
+        # (cells rendered up front, their row indices) or (None, the values)
         if a.size < size:
-            text = np.array(lines(a), dtype=object)
-            return text, np.broadcast_to(np.arange(a.size).reshape(a.shape), shape)
+            return _render(a.ravel()), np.broadcast_to(np.arange(a.size).reshape(a.shape), shape)
         return None, np.broadcast_to(a, shape)
 
     first = [next(i for i, c in enumerate(columns) if c is col) for col in columns]
     sources = {j: source(arrays[j]) for j in set(first)}
+    delimiters = np.frombuffer(b"," * (len(columns) - 1) + b"\n", np.uint8)
     lead = shape[0] if size else 0
     step = max(1, CSV_BLOCK_ROWS * lead // max(size, 1))
     dest.write(",".join(header) + "\n")
     for rows in blocks(lead, step):
-        fields = {}
-        for j, (text, values) in sources.items():
+        cells = {}
+        for j, (rendered, values) in sources.items():
             block = values[rows].ravel()
-            if text is not None:
-                fields[j] = text.take(block).tolist()
-            else:
-                fields[j] = lines(block) if first.count(j) > 1 else block
-        dest.write(_render([fields[j] for j in first], block.size))
+            cells[j] = _render(block) if rendered is None else np.take(rendered, block, axis=0)
+        table = np.stack([cells[j] for j in first], axis=1)
+        table[:, :, -1] = delimiters
+        dest.write(table.tobytes().translate(None, b"\0").decode("ascii"))

@@ -21,6 +21,7 @@ functions (to_normal, from_normal, ground_state) import numpy when called.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 
@@ -60,12 +61,18 @@ def normal_modes(params: CoupledParams) -> NormalModeData:
     """Diagonalize the potential: K, the squeeze parameter eta, and the mode frequencies.
 
     Where A^2 overflows (A above about 1.3e154), K and eta are taken from the
-    halves A/2 -+ C/2, whose sum and difference cannot overflow. ValueError
-    when a mode frequency overflows a float (K/m too large).
+    halves A/2 -+ C/2, whose sum and difference cannot overflow. Where
+    A^2 - C^2 underflows to a subnormal or zero (A below about 1.5e-154), K is
+    sqrt(A - C) sqrt(A + C). ValueError when a mode frequency overflows a
+    float (K/m too large).
     """
     A, C = params.A, params.C
     try:
-        K = math.sqrt(A**2 - C**2)
+        square = A**2 - C**2
+        if square >= sys.float_info.min:
+            K = math.sqrt(square)
+        else:
+            K = math.sqrt(A - C) * math.sqrt(A + C)
         ratio = (A - C) / (A + C)
     except OverflowError:
         diff, total = 0.5 * A - 0.5 * C, 0.5 * A + 0.5 * C

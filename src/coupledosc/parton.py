@@ -27,7 +27,7 @@ import numpy as np
 
 from . import covariant
 from .numerics import COSH_ETA_MAX, MESH_BLOCK_ROWS, QuadratureGrid, blocks, check_eta
-from .numerics import check_resolution, default_grid, eta_range_error, write_csv
+from .numerics import check_resolution, check_table_size, default_grid, eta_range_error, write_csv
 
 _VARIABLES = ("z", "qz")
 
@@ -151,6 +151,7 @@ def export_gaussian_pdf(eta: float, n: int, path) -> np.ndarray:
     """
     if n < 2:
         raise ValueError(f"need at least 2 points, got {n}")
+    check_table_size(n, f"a marginal of n = {n} points", "use fewer points")
     eta = check_eta(eta)
     half = 6.0 * width(eta)
     coords = np.linspace(-half, half, int(n))

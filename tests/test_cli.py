@@ -314,6 +314,47 @@ class TestHugeEta:
             assert run(argv + [f"--out={tmp_path / 'out.csv'}"]) == 0
 
 
+class TestTableCap:
+    """--n, --steps and --grid squared are checked against MAX_TABLE_VALUES before any array exists."""
+
+    SIZES = {"parton": ("--eta=1", "--n={}"), "sweep": ("--start=0", "--stop=1", "--steps={}"),
+             "boost": ("--eta=1", "--grid={}")}
+
+    def argv(self, command, size, tmp_path):
+        *fixed, sized = self.SIZES[command]
+        return [command, *fixed, sized.format(size), f"--out={tmp_path / 'out.csv'}"]
+
+    @pytest.mark.parametrize(
+        "command, size, message",
+        [
+            ("parton", 10**13, "a marginal of n = 10000000000000 points (10000000000000 values) "
+                               "exceeds the cap of 16777216; use fewer points"),
+            ("sweep", 10**13, "a sweep of --steps=10000000000000 rows (10000000000000 values) "
+                              "exceeds the cap of 16777216; use fewer steps"),
+            ("boost", 10**8, "a 100000000 x 100000000 mesh (10000000000000000 values) exceeds the cap "
+                             "of 16777216; use at most 4096 grid nodes"),
+        ],
+    )
+    def test_huge_size_exits_1(self, command, size, message, tmp_path, capsys):
+        # the check runs first: these calls allocate nothing
+        assert run(self.argv(command, size, tmp_path)) == 1
+        assert capsys.readouterr().err == f"coupledosc: error: {message}\n"
+        assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("command, at_cap", [("parton", 36), ("sweep", 36), ("boost", 6)])
+    def test_boundary(self, command, at_cap, tmp_path, monkeypatch, capsys):
+        from coupledosc import numerics
+
+        monkeypatch.setattr(numerics, "MAX_TABLE_VALUES", 36)
+        assert run(self.argv(command, at_cap, tmp_path)) == 0
+        assert run(self.argv(command, at_cap + 1, tmp_path)) == 1
+        assert "exceeds the cap of 36" in capsys.readouterr().err
+
+    def test_kernel_grid(self, tmp_path, capsys):
+        assert run(["entangle", "--eta=1", "--grid=4097", f"--kernel-csv={tmp_path / 'k.csv'}"]) == 1
+        assert "use at most 4096 grid nodes" in capsys.readouterr().err
+
+
 class TestVerify:
     def test_report_structure_and_known_failure(self, tmp_path, capsys):
         out = tmp_path / "report.json"

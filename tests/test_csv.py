@@ -7,10 +7,13 @@ every writer must still produce exactly those bytes.
 import ast
 import io
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coupledosc import cli, covariant, entanglement, numerics, parton
 from coupledosc.numerics import CSV_BLOCK_ROWS, oracle_reduced_density, uniform_grid, write_csv
@@ -80,15 +83,90 @@ def test_column_passed_twice_renders_once(monkeypatch):
     a = np.linspace(0.0, 1.0, 3 * CSV_BLOCK_ROWS)
     calls = []
     render = numerics._render
-    def spy(fields, rows):
-        # the number of values this call formats; strings rendered earlier are not counted
-        calls.append(sum(f.size for f in fields if not isinstance(f, list)))
-        return render(fields, rows)
+    def spy(values):
+        # the number of values this call formats; cells rendered earlier are not counted
+        calls.append(values.size)
+        return render(values)
 
     monkeypatch.setattr(numerics, "_render", spy)
     twice = written(("a", "b", "c"), (a, a, a))
     assert sum(calls) == a.size
     assert twice == reference(("a", "b", "c"), zip(a, a, a))
+
+
+# --- the vectorised %.15g renderer against Python's %.15g ----------------------
+
+
+def values_reference(values) -> bytes:
+    return reference(("v",), zip(np.asarray(values, dtype=float)))
+
+
+def vector_block(values) -> np.ndarray:
+    # repeated up to _VECTOR_MIN values, so that the block takes the vector path
+    return np.resize(np.array(values, dtype=float), max(len(values), numerics._VECTOR_MIN))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(), min_size=1, max_size=2 * CSV_BLOCK_ROWS + 5))
+def test_matches_python_on_any_floats(values):
+    # st.floats() covers nan, +-inf, +-0, subnormals and the whole exponent range
+    col = vector_block(values)
+    assert written(("v",), (col,)) == values_reference(col)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=CSV_BLOCK_ROWS + 3))
+def test_matches_python_on_raw_bit_patterns(bits):
+    col = vector_block(np.array(bits, dtype=np.uint64).view(np.float64))
+    assert written(("v",), (col,)) == values_reference(col)
+
+
+EDGES = {
+    "carry": [999999999999999.5, 9999999999999995.0, 0.9999999999999996, 9.999999999999996,
+              9.999999999999997e-5],
+    "fixed-or-exponent": [9.99999999999999e-5, 9.999999999999995e-5, 1e-4, 1e-5, 0.00012345],
+    "powers-of-ten": [1e15, 1e16, 1e14, 1e22, 1e23, 0.1, 0.001, 1.0, 10.0, 100.0],
+    "three-digit-exponents": [1e100, 1e-100, 1.5e-300, 2.5e300, 1e-99, 9.999999999999999e99],
+    "signed-zero": [0.0, -0.0],
+    "subnormal": [5e-324, -5e-324, 2.2250738585072014e-308 / 3, 2.225073858507201e-308],
+    "float-max": [np.finfo(float).max, -np.finfo(float).max, np.finfo(float).tiny],
+    "ties": [0.5, 2.5, 1234567890123445.0, 1234567890123435.0, 100000000000000.5, 100000000000001.5, 1 / 3],
+    "integers": [123456789012345.0, 1234567890123456.0, -42.0, 1e15 - 1],
+}
+
+
+@pytest.mark.parametrize("values", EDGES.values(), ids=EDGES.keys())
+def test_named_edges(values):
+    col = vector_block(values + [-v for v in values])
+    assert written(("v",), (col,)) == values_reference(col)
+
+
+def test_values_next_to_a_rounding_tie():
+    # the doubles nearest to d.dddddddddddddd5 x 10^e: their scaled fraction lies
+    # within about 0.03 of 0.5, and for some within the rounding error of the scaling
+    rng = np.random.default_rng(5)
+    n = 400_000
+    col = np.array([float(f"{d}5e{e}") for d, e in zip(rng.integers(10**14, 10**15, n).tolist(),
+                                                        rng.integers(-300, 300, n).tolist())])
+    assert written(("v",), (col,)) == values_reference(col)
+
+
+def test_forced_fallback_gives_the_same_bytes(monkeypatch):
+    # where long double is only double every value takes the Python path
+    rng = np.random.default_rng(7)
+    col = np.concatenate([rng.standard_normal(CSV_BLOCK_ROWS) * 10.0 ** rng.integers(-30, 30, CSV_BLOCK_ROWS),
+                          sum(EDGES.values(), [])])
+    exact = written(("a", "k"), (col, np.arange(col.size)))
+    monkeypatch.setattr(numerics, "_ROUND_MARGIN", math.inf)
+    assert written(("a", "k"), (col, np.arange(col.size))) == exact
+    assert exact == reference(("a", "k"), zip(col, range(col.size)))
+
+
+def test_scale_table_within_one_eps():
+    eps = Fraction(float(np.finfo(np.longdouble).eps))
+    for k, scale in enumerate(numerics._tables().scale):
+        exact = Fraction(10) ** (14 - (k - numerics._E0))
+        assert abs(Fraction(*scale.as_integer_ratio()) - exact) <= eps * exact, k
 
 
 def test_path_destination_is_utf8_with_lf(tmp_path):

@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from coupledosc import covariant, entanglement, numerics, oscillator, parton
 from coupledosc.numerics import (
-    HERMITE_MAX_VALUES,
+    MAX_TABLE_VALUES,
     DensityKernel,
     EtaRangeError,
     GridResolutionError,
@@ -104,7 +104,7 @@ class TestHermite:
     @pytest.mark.parametrize(
         "call",
         [
-            lambda: hermite_basis(HERMITE_MAX_VALUES, np.zeros(1)),
+            lambda: hermite_basis(MAX_TABLE_VALUES, np.zeros(1)),
             lambda: hermite_basis(10**30, np.zeros(1)),
             lambda: hermite_fn(10**12, 0.0),
             lambda: hermite_fn(2000, np.zeros((100, 100))),
@@ -117,7 +117,7 @@ class TestHermite:
             call()
 
     def test_table_cap_boundary(self, monkeypatch):
-        monkeypatch.setattr(numerics, "HERMITE_MAX_VALUES", 12)
+        monkeypatch.setattr(numerics, "MAX_TABLE_VALUES", 12)
         assert hermite_basis(3, np.zeros(3)).shape == (4, 3)
         assert hermite_basis(11, np.zeros(1)).shape == (12, 1)
         assert hermite_fn(5, np.zeros(2)).shape == (2,)

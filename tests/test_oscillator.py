@@ -1,4 +1,5 @@
 import math
+import sys
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -89,6 +90,32 @@ class TestNormalModes:
         c = cf * a
         modes = normal_modes(CoupledParams(m=m, A=a, C=c))
         assert modes.K == math.sqrt(a**2 - c**2)
+        assert modes.eta == 0.25 * math.log((a - c) / (a + c))
+
+    @pytest.mark.parametrize(
+        "a, c",
+        [(1e-200, 0.0), (1e-200, -3e-201), (1e-160, 9.9e-161), (3e-320, 1e-320)],
+        ids=["A-squared-underflows", "both-squares-underflow", "difference-subnormal", "subnormal-A"],
+    )
+    def test_tiny_couplings(self, a, c):
+        with localcontext() as ctx:
+            ctx.prec = 50
+            A, C = Decimal(a), Decimal(c)
+            k = float((A * A - C * C).sqrt())
+        modes = normal_modes(CoupledParams(m=1.0, A=a, C=c))
+        assert_allclose(modes.K, k, rtol=1e-15)
+        assert_allclose(modes.omega, math.sqrt(k), rtol=1e-15)
+        assert modes.omega_plus > 0.0 and modes.omega_minus > 0.0
+
+    @given(st.floats(1e-165, 1e-145), st.floats(-0.999, 0.999))
+    def test_bits_unchanged_above_underflow(self, a, cf):
+        # the sqrt(A - C) sqrt(A + C) branch takes only what A^2 - C^2 leaves subnormal or zero
+        c = cf * a
+        modes = normal_modes(CoupledParams(m=1.0, A=a, C=c))
+        if a**2 - c**2 >= sys.float_info.min:
+            assert modes.K == math.sqrt(a**2 - c**2)
+        else:
+            assert modes.K == math.sqrt(a - c) * math.sqrt(a + c)
         assert modes.eta == 0.25 * math.log((a - c) / (a + c))
 
     def test_overflowing_frequency_is_a_value_error(self):
