@@ -93,19 +93,15 @@ def cmd_entangle(args) -> int:
 
 
 def cmd_boost(args) -> int:
-    import numpy as np
-
     from . import covariant
     from .numerics import uniform_grid, write_csv
 
     nodes = uniform_grid(args.grid, args.extent).nodes
     z, t = nodes[:, None], nodes[None, :]
     psi = covariant.boosted_wavefunction(z, t, args.eta)
-    phi = covariant.momentum_wavefunction(z, t, args.eta)
-    # self-duality makes the columns bit-equal, so psi is rendered once for both
-    if np.array_equal(psi.view(np.int64), phi.view(np.int64)):
-        phi = psi
-    write_csv(args.out, ("z", "t", "psi", "qz", "q0", "phi"), (z, t, psi, z, t, phi))
+    # phi_eta(z, t) = psi_eta(t, z) is bit-equal to psi: t + z == z + t in IEEE
+    # arithmetic and t - z is negated, then squared; psi is rendered for both
+    write_csv(args.out, ("z", "t", "psi", "qz", "q0", "phi"), (z, t, psi, z, t, psi))
     return 0
 
 
@@ -141,6 +137,10 @@ def _write_sweep(dest, start: float, stop: float, steps: int, omega: float) -> N
     from .numerics import check_table_size, write_csv
 
     check_table_size(steps, f"a sweep of --steps={steps} rows", "use fewer steps")
+    if not math.isfinite(stop - start):
+        raise ValueError(
+            f"the sweep range {start:g} to {stop:g} has no finite width; use a narrower range"
+        )
     etas = np.linspace(start, stop, steps)
 
     def temperature(eta):
@@ -234,8 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("parton", help="longitudinal marginal, optionally against an overlay")
     p.add_argument("--eta", type=float, required=True)
-    p.add_argument("--var", choices=("z", "qz"), default="z",
-                   help="marginal variable (the two coincide; kept for labeling)")
     p.add_argument("--n", type=int, default=101, help="points when exporting without overlay")
     p.add_argument("--overlay", help="reference CSV with header x,value")
     p.add_argument("--rescale", type=_rescale_arg, help="shift,scale applied to overlay x")

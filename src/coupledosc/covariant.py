@@ -126,22 +126,17 @@ def momentum_wavefunction(qz, q0, eta: float):
     return boosted_wavefunction(q0, qz, eta)
 
 
-def fourier_consistency(
-    eta: float,
-    grid: QuadratureGrid | None = None,
-    probe_extent: float = 3.0,
-    probe_count: int = 21,
-) -> float:
+def fourier_consistency(eta: float, grid: QuadratureGrid | None = None) -> float:
     """Max deviation between the transformed psi_eta and the closed-form phi_eta.
 
     Computes (1/2pi) integral psi_eta(z, t) e^{i(qz z - q0 t)} dz dt by tensor
-    quadrature on a probe mesh of momenta and compares with
+    quadrature on a 21 x 21 probe mesh of momenta in [-3, 3] and compares with
     momentum_wavefunction. The imaginary part (zero by symmetry) is included
     in the reported deviation.
     """
     g = grid if grid is not None else default_grid()
     check_resolution(eta, g)
-    q = np.linspace(-probe_extent, probe_extent, probe_count)
+    q = np.linspace(-3.0, 3.0, 21)
     psi = boosted_wavefunction(g.nodes[:, None], g.nodes[None, :], eta)
     # separable kernel: F[a, b] = sum_{jk} e^{i q_a z_j} psi[j,k] e^{-i q_b t_k} w_j w_k
     ez = np.exp(1j * np.outer(q, g.nodes)) * g.weights
@@ -150,18 +145,29 @@ def fourier_consistency(
     return float(np.max(np.abs(transformed - momentum_wavefunction(q[:, None], q[None, :], eta))))
 
 
-def wave_equation_residual(z: float, t: float, eta: float, step: float = 1e-3) -> float:
+def wave_equation_residual(z: float, t: float, eta: float) -> float:
     """Residual of 1/2 {(z^2 - t^2) - (d^2/dz^2 - d^2/dt^2)} psi_eta at a point.
 
-    Second derivatives by central differences; the boosted ground state is a
-    zero mode of this boost-invariant operator, so the residual is pure
-    discretization error, O(step^2).
+    Second derivatives by central differences of step h = 1e-3; the boosted
+    ground state is a zero mode of this boost-invariant operator, so the
+    residual is pure discretization error, O(h^2).
     """
-    h = float(step)
+    h = 1e-3
     psi0 = boosted_wavefunction(z, t, eta)
     d2z = (boosted_wavefunction(z + h, t, eta) - 2.0 * psi0 + boosted_wavefunction(z - h, t, eta)) / (h * h)
     d2t = (boosted_wavefunction(z, t + h, eta) - 2.0 * psi0 + boosted_wavefunction(z, t - h, eta)) / (h * h)
     return 0.5 * ((z * z - t * t) * psi0 - (d2z - d2t))
+
+
+def _four_vectors(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """a and b as float (t, x, y, z) arrays; ValueError unless each has 4 finite components."""
+    va = np.asarray(a, dtype=float)
+    vb = np.asarray(b, dtype=float)
+    if va.shape != (4,) or vb.shape != (4,):
+        raise ValueError("four-vectors must have exactly 4 components")
+    if not (np.all(np.isfinite(va)) and np.all(np.isfinite(vb))):
+        raise ValueError("four-vectors must be finite")
+    return va, vb
 
 
 def hadron_variables(x_a, x_b) -> tuple[np.ndarray, np.ndarray]:
@@ -170,21 +176,11 @@ def hadron_variables(x_a, x_b) -> tuple[np.ndarray, np.ndarray]:
     X = (x_a + x_b)/2 locates the hadron; x = (x_a - x_b)/(2 sqrt2) is the
     internal separation. Four-vectors are (t, x, y, z) tuples.
     """
-    xa = np.asarray(x_a, dtype=float)
-    xb = np.asarray(x_b, dtype=float)
-    if xa.shape != (4,) or xb.shape != (4,):
-        raise ValueError("four-vectors must have exactly 4 components")
-    if not (np.all(np.isfinite(xa)) and np.all(np.isfinite(xb))):
-        raise ValueError("four-vectors must be finite")
+    xa, xb = _four_vectors(x_a, x_b)
     return (xa + xb) / 2.0, (xa - xb) / (2.0 * _SQRT2)
 
 
 def momentum_variables(p_a, p_b) -> tuple[np.ndarray, np.ndarray]:
     """Conjugate pair: total P = p_a + p_b and relative q = sqrt2 (p_a - p_b)."""
-    pa = np.asarray(p_a, dtype=float)
-    pb = np.asarray(p_b, dtype=float)
-    if pa.shape != (4,) or pb.shape != (4,):
-        raise ValueError("four-vectors must have exactly 4 components")
-    if not (np.all(np.isfinite(pa)) and np.all(np.isfinite(pb))):
-        raise ValueError("four-vectors must be finite")
+    pa, pb = _four_vectors(p_a, p_b)
     return pa + pb, _SQRT2 * (pa - pb)

@@ -103,11 +103,9 @@ def to_normal(x1, x2):
     return s * (np.asarray(x1) + np.asarray(x2)), s * (np.asarray(x1) - np.asarray(x2))
 
 
-def from_normal(y1, y2):
-    import numpy as np
-
-    s = 1.0 / math.sqrt(2.0)
-    return s * (np.asarray(y1) + np.asarray(y2)), s * (np.asarray(y1) - np.asarray(y2))
+# the 45-degree rotation is its own inverse, so normal back to particle
+# coordinates is the same map
+from_normal = to_normal
 
 
 def ground_state(x1, x2, eta: float):

@@ -2,8 +2,10 @@
 
 Each check reports a measured deviation and the tolerance it must stay under
 (passed iff deviation <= tolerance; bound-type checks report the shortfall
-with tolerance 0). The registry is what the CLI `verify` subcommand runs and
-what the acceptance tests assert piecewise.
+with tolerance 0). @check(tolerance, detail) registers a check_<name> in
+CHECKS in definition order; its body returns the deviation, or (deviation,
+detail) when the detail reports a measured value. The registry is what the
+CLI `verify` subcommand runs and what the acceptance tests assert piecewise.
 
 One check is an expected failure by design: schmidt_reconstruction keeps the
 uniform 1e-6 gate at eta = 2 even though the exact truncation tail of the
@@ -13,6 +15,7 @@ error *is* the exact tail, i.e. the coefficients are right and the residual
 is pure, irreducible truncation. See README, Known limitations.
 """
 
+import functools
 import io
 import math
 import tempfile
@@ -49,15 +52,28 @@ class VerifyReport:
     overall_pass: bool
 
 
-def _result(name: str, deviation: float, tolerance: float, detail: str = "") -> CheckResult:
-    deviation = float(deviation)
-    return CheckResult(
-        name=name,
-        passed=bool(deviation <= tolerance),
-        deviation=deviation,
-        tolerance=float(tolerance),
-        detail=detail,
-    )
+# run_all reads this list at call time, so an entry replaced in place is what runs
+CHECKS: list = []
+
+
+def check(tolerance: float, detail: str = ""):
+    """Register check_<name> under <name>, with its tolerance and detail written once."""
+
+    def register(body):
+        name = body.__name__.removeprefix("check_")
+
+        @functools.wraps(body)
+        def run() -> CheckResult:
+            deviation, text = body(), detail
+            if isinstance(deviation, tuple):
+                deviation, text = deviation
+            deviation = float(deviation)
+            return CheckResult(name, bool(deviation <= tolerance), deviation, float(tolerance), text)
+
+        CHECKS.append(run)
+        return run
+
+    return register
 
 
 _KERNELS: dict = {}
@@ -87,75 +103,74 @@ def _ground_state_mesh(eta: float) -> np.ndarray:
 # --- numerics ---------------------------------------------------------------
 
 
-def check_grid_gaussian_integral() -> CheckResult:
+@check(1e-10)
+def check_grid_gaussian_integral():
     g = default_grid()
     val = float(g.weights @ (np.exp(-g.nodes**2 / 2.0) / math.sqrt(2.0 * math.pi)))
-    return _result("grid_gaussian_integral", abs(val - 1.0), 1e-10)
+    return abs(val - 1.0)
 
 
-def check_hermite_orthonormality_wide() -> CheckResult:
+@check(1e-8, "j,k <= 40 on extent 12 (the default box truncates phi_40 mid-support)")
+def check_hermite_orthonormality_wide():
     # phi_40 turns at x = 9, outside the default box; use one that contains it
     g = uniform_grid(count=601, extent=12.0)
     b = hermite_basis(40, g.nodes)
     gram = (b * g.weights) @ b.T
-    dev = float(np.max(np.abs(gram - np.eye(41))))
-    return _result(
-        "hermite_orthonormality_wide",
-        dev,
-        1e-8,
-        "j,k <= 40 on extent 12 (the default box truncates phi_40 mid-support)",
-    )
+    return float(np.max(np.abs(gram - np.eye(41))))
 
 
-def check_hermite_orthonormality_default() -> CheckResult:
+@check(1e-8, "j,k <= 12 fit the default box")
+def check_hermite_orthonormality_default():
     g = default_grid()
     b = hermite_basis(12, g.nodes)
     gram = (b * g.weights) @ b.T
-    dev = float(np.max(np.abs(gram - np.eye(13))))
-    return _result("hermite_orthonormality_default", dev, 1e-8, "j,k <= 12 fit the default box")
+    return float(np.max(np.abs(gram - np.eye(13))))
 
 
-def check_hermite_stability_k128() -> CheckResult:
+@check(1e-8, "norm of phi_128 via recurrence")
+def check_hermite_stability_k128():
     g = uniform_grid(count=1001, extent=20.0)
     vals = hermite_fn(128, g.nodes)
-    dev = abs(float(g.weights @ (vals * vals)) - 1.0)
-    return _result("hermite_stability_k128", dev, 1e-8, "norm of phi_128 via recurrence")
+    return abs(float(g.weights @ (vals * vals)) - 1.0)
 
 
-def check_oracle_kernel_symmetry() -> CheckResult:
-    return _result("oracle_kernel_symmetry", _kernel(1.0).asymmetry(), 1e-12)
+@check(1e-12)
+def check_oracle_kernel_symmetry():
+    return _kernel(1.0).asymmetry()
 
 
-def check_oracle_kernel_trace() -> CheckResult:
-    dev = max(abs(_kernel(e).trace() - 1.0) for e in (0.5, 1.0, 2.0))
-    return _result("oracle_kernel_trace", dev, 1e-7)
+@check(1e-7)
+def check_oracle_kernel_trace():
+    return max(abs(_kernel(e).trace() - 1.0) for e in (0.5, 1.0, 2.0))
 
 
-def check_pure_state_idempotency() -> CheckResult:
+@check(1e-6)
+def check_pure_state_idempotency():
     g = default_grid()
     psi = (hermite_fn(0, g.nodes) + hermite_fn(1, g.nodes)) / math.sqrt(2.0)
     k = np.outer(psi, psi)
     k2 = (k * g.weights) @ k
-    return _result("pure_state_idempotency", float(np.max(np.abs(k2 - k))), 1e-6)
+    return float(np.max(np.abs(k2 - k)))
 
 
 # --- oscillator -------------------------------------------------------------
 
 
-def check_normal_mode_frequencies() -> CheckResult:
+@check(1e-12, "m=1, A=5, C=-3 benchmark")
+def check_normal_mode_frequencies():
     modes = oscillator.normal_modes(oscillator.CoupledParams(m=1.0, A=5.0, C=-3.0))
     eta = 0.5 * math.log(2.0)
-    dev = max(
+    return max(
         abs(modes.K - 4.0),
         abs(modes.eta - eta),
         abs(modes.omega - 2.0),
         abs(modes.omega_plus - 2.0 * math.exp(eta)),
         abs(modes.omega_minus - 2.0 * math.exp(-eta)),
     )
-    return _result("normal_mode_frequencies", dev, 1e-12, "m=1, A=5, C=-3 benchmark")
 
 
-def check_hamiltonian_form_equivalence() -> CheckResult:
+@check(1e-12, "100 seeded phase-space points")
+def check_hamiltonian_form_equivalence():
     rng = np.random.default_rng(_SEED)
     dev = 0.0
     for _ in range(100):
@@ -169,47 +184,47 @@ def check_hamiltonian_form_equivalence() -> CheckResult:
             oscillator.to_normal(*x), oscillator.to_normal(*p), params
         )
         dev = max(dev, abs(e1 - e2) / max(1.0, abs(e1)))
-    return _result("hamiltonian_form_equivalence", dev, 1e-12, "100 seeded phase-space points")
+    return dev
 
 
-def check_ground_state_normalization() -> CheckResult:
-    dev = max(
+@check(1e-8)
+def check_ground_state_normalization():
+    return max(
         abs(integrate_2d(lambda a, b, e=e: oscillator.ground_state(a, b, e) ** 2) - 1.0)
         for e in (0.0, 1.0, 2.0)
     )
-    return _result("ground_state_normalization", dev, 1e-8)
 
 
-def check_ground_state_peak_bound() -> CheckResult:
+@check(1e-15, "positive everywhere, peak 1/sqrt(pi)")
+def check_ground_state_peak_bound():
     x = default_grid().nodes
     vals = oscillator.ground_state(x[:, None], x[None, :], 1.5)
     bound = math.pi**-0.5
-    dev = max(float(np.max(vals)) - bound, 0.0 if np.all(vals > 0.0) else 1.0)
-    return _result(
-        "ground_state_peak_bound", max(dev, 0.0), 1e-15, "positive everywhere, peak 1/sqrt(pi)"
-    )
+    return max(float(np.max(vals)) - bound, 0.0 if np.all(vals > 0.0) else 1.0)
 
 
-def check_separability_zero_coupling() -> CheckResult:
+@check(1e-14, "eta=0 factorizes into phi_0 phi_0")
+def check_separability_zero_coupling():
     x = np.linspace(-3, 3, 20)
     x1, x2 = x[:, None], x[None, :]
     product = hermite_fn(0, x1) * hermite_fn(0, x2)
-    dev = float(np.max(np.abs(oscillator.ground_state(x1, x2, 0.0) - product)))
-    return _result("separability_zero_coupling", dev, 1e-14, "eta=0 factorizes into phi_0 phi_0")
+    return float(np.max(np.abs(oscillator.ground_state(x1, x2, 0.0) - product)))
 
 
 # --- entanglement -----------------------------------------------------------
 
 
-def check_schmidt_normalization() -> CheckResult:
+@check(1e-12, "sum c_k^2 plus exact tail is 1")
+def check_schmidt_normalization():
     dev = 0.0
     for e in (0.0, 0.5, 1.0, 2.0, 3.0):
         exp_ = entanglement.schmidt_coefficients(e, k_max=64)
         dev = max(dev, abs(float(np.sum(exp_.coefficients**2)) + exp_.tail - 1.0))
-    return _result("schmidt_normalization", dev, 1e-12, "sum c_k^2 plus exact tail is 1")
+    return dev
 
 
-def check_schmidt_vs_quadrature() -> CheckResult:
+@check(1e-6, "c_k against direct double quadrature")
+def check_schmidt_vs_quadrature():
     dev = 0.0
     for e in (0.5, 1.0):
         coeffs = entanglement.schmidt_coefficients(e, k_max=10).coefficients
@@ -217,10 +232,11 @@ def check_schmidt_vs_quadrature() -> CheckResult:
         for k in range(11):
             proj = integrate_2d(lambda a, b, k=k: hermite_fn(k, a) * hermite_fn(k, b) * psi)
             dev = max(dev, abs(proj - coeffs[k]))
-    return _result("schmidt_vs_quadrature", dev, 1e-6, "c_k against direct double quadrature")
+    return dev
 
 
-def check_schmidt_offdiagonal() -> CheckResult:
+@check(1e-8, "expansion is diagonal in the Fock index")
+def check_schmidt_offdiagonal():
     dev = 0.0
     psi = _ground_state_mesh(1.0)
     for j in range(4):
@@ -229,82 +245,88 @@ def check_schmidt_offdiagonal() -> CheckResult:
                 continue
             proj = integrate_2d(lambda a, b, j=j, k=k: hermite_fn(j, a) * hermite_fn(k, b) * psi)
             dev = max(dev, abs(proj))
-    return _result("schmidt_offdiagonal", dev, 1e-8, "expansion is diagonal in the Fock index")
+    return dev
 
 
-def check_reduced_eigenvalues_vs_oracle() -> CheckResult:
+@check(1e-6, "p_k against the grid kernel")
+def check_reduced_eigenvalues_vs_oracle():
     dev = 0.0
     for e in (0.5, 1.0, 2.0):
         p = entanglement.reduced_state(e, k_max=10).eigenvalues
         kern = _kernel(e)
         for k in range(11):
             dev = max(dev, abs(kern.fock_projection(k) - p[k]))
-    return _result("reduced_eigenvalues_vs_oracle", dev, 1e-6, "p_k against the grid kernel")
+    return dev
 
 
-def check_eigenvalue_normalization() -> CheckResult:
+@check(1e-12)
+def check_eigenvalue_normalization():
     dev = 0.0
     for e in (0.0, 1.0, 2.0):
         rs = entanglement.reduced_state(e, k_max=64)
         dev = max(dev, abs(float(np.sum(rs.eigenvalues)) + rs.tail - 1.0))
-    return _result("eigenvalue_normalization", dev, 1e-12)
+    return dev
 
 
-def check_purity_closed_vs_series() -> CheckResult:
-    dev = max(
+@check(1e-10, "1/cosh(eta) vs truncated sum p_k^2")
+def check_purity_closed_vs_series():
+    return max(
         abs(entanglement.purity(e) - entanglement.purity_series(e, k_max=64))
         for e in np.linspace(0.0, 3.0, 7)
     )
-    return _result("purity_closed_vs_series", dev, 1e-10, "1/cosh(eta) vs truncated sum p_k^2")
 
 
-def check_purity_closed_vs_grid() -> CheckResult:
-    dev = max(abs(entanglement.purity(e) - _kernel(e).purity()) for e in (0.0, 0.5, 1.0, 2.0))
-    return _result("purity_closed_vs_grid", dev, 1e-6, "1/cosh(eta) vs Tr rho^2 by quadrature")
+@check(1e-6, "1/cosh(eta) vs Tr rho^2 by quadrature")
+def check_purity_closed_vs_grid():
+    return max(abs(entanglement.purity(e) - _kernel(e).purity()) for e in (0.0, 0.5, 1.0, 2.0))
 
 
-def check_entropy_closed_vs_sum() -> CheckResult:
+@check(1e-9, "closed form vs -sum p ln p at k_max=128")
+def check_entropy_closed_vs_sum():
     dev = 0.0
     for e in (0.25, 0.5, 1.0, 2.0, 3.0):
         p = entanglement.reduced_state(e, k_max=128).eigenvalues
         p = p[p > 0.0]
         dev = max(dev, abs(entanglement.entropy(e) - float(-np.sum(p * np.log(p)))))
-    return _result("entropy_closed_vs_sum", dev, 1e-9, "closed form vs -sum p ln p at k_max=128")
+    return dev
 
 
-def check_entropy_symmetry() -> CheckResult:
+@check(1e-14, "even in eta, exactly zero at eta=0")
+def check_entropy_symmetry():
     dev = max(
         abs(entanglement.entropy(-e) - entanglement.entropy(e)) for e in (0.3, 1.0, 2.5)
     )
-    dev = max(dev, abs(entanglement.entropy(0.0)))
-    return _result("entropy_symmetry", dev, 1e-14, "even in eta, exactly zero at eta=0")
+    return max(dev, abs(entanglement.entropy(0.0)))
 
 
-def check_entanglement_monotonicity() -> CheckResult:
+@check(0.0, "entropy rises, purity falls with eta")
+def check_entanglement_monotonicity():
     etas = np.linspace(0.0, 3.0, 13)
     s = np.array([entanglement.entropy(e) for e in etas])
     pur = np.array([entanglement.purity(e) for e in etas])
-    dev = max(float(np.max(-np.diff(s))), float(np.max(np.diff(pur))), 0.0)
-    return _result(
-        "entanglement_monotonicity", max(dev, 0.0), 0.0, "entropy rises, purity falls with eta"
-    )
+    return max(float(np.max(-np.diff(s))), float(np.max(np.diff(pur))), 0.0)
 
 
-def check_thermal_equivalence() -> CheckResult:
+@check(1e-9, "oscillator entropy equals thermal entropy at x(eta)")
+def check_thermal_equivalence():
     dev = 0.0
     for e in (0.5, 1.0, 2.0):
         tm = entanglement.effective_temperature(e)
         dev = max(dev, abs(entanglement.thermal_entropy(tm.x) - entanglement.entropy(e)))
-    return _result(
-        "thermal_equivalence", dev, 1e-9, "oscillator entropy equals thermal entropy at x(eta)"
-    )
+    return dev
 
 
-def check_thermal_zero_temperature_limit() -> CheckResult:
-    return _result("thermal_zero_temperature_limit", entanglement.thermal_entropy(50.0), 1e-15)
+@check(1e-15)
+def check_thermal_zero_temperature_limit():
+    return entanglement.thermal_entropy(50.0)
 
 
-def check_schmidt_reconstruction() -> CheckResult:
+@check(
+    1e-6,
+    "expected failure: exact k<=40 amplitude tail at eta=2 is ~1.57e-6, above the "
+    "uniform 1e-6 gate (holds for eta <= 1.9); see schmidt_truncation_tail_identity",
+)
+def check_schmidt_reconstruction():
     x = np.linspace(-3.0, 3.0, 15)
     x1, x2 = x[:, None], x[None, :]
     dev = 0.0
@@ -314,16 +336,11 @@ def check_schmidt_reconstruction() -> CheckResult:
             dev,
             float(np.max(np.abs(exp_.reconstruct(x1, x2) - oscillator.ground_state(x1, x2, e)))),
         )
-    return _result(
-        "schmidt_reconstruction",
-        dev,
-        1e-6,
-        "expected failure: exact k<=40 amplitude tail at eta=2 is ~1.57e-6, above the "
-        "uniform 1e-6 gate (holds for eta <= 1.9); see schmidt_truncation_tail_identity",
-    )
+    return dev
 
 
-def check_schmidt_truncation_tail_identity() -> CheckResult:
+@check(1e-9, "reconstruction residual equals the explicit k>40 tail sum")
+def check_schmidt_truncation_tail_identity():
     # the reconstruction error at eta=2 must BE the exact series tail, term by term
     x = np.linspace(-3.0, 3.0, 15)
     x1, x2 = x[:, None], x[None, :]
@@ -332,18 +349,14 @@ def check_schmidt_truncation_tail_identity() -> CheckResult:
     exp200 = entanglement.schmidt_coefficients(2.0, k_max=200)
     b = hermite_basis(200, x)[41:]
     tail = np.abs((exp200.coefficients[41:, None, None] * b[:, :, None] * b[:, None, :]).sum(axis=0))
-    return _result(
-        "schmidt_truncation_tail_identity",
-        float(np.max(np.abs(err - tail))),
-        1e-9,
-        "reconstruction residual equals the explicit k>40 tail sum",
-    )
+    return float(np.max(np.abs(err - tail)))
 
 
 # --- covariant --------------------------------------------------------------
 
 
-def check_boost_composition() -> CheckResult:
+@check(1e-12, "rapidity is additive")
+def check_boost_composition():
     rng = np.random.default_rng(_SEED)
     dev = 0.0
     for _ in range(100):
@@ -352,18 +365,19 @@ def check_boost_composition() -> CheckResult:
         q1 = covariant.boost_point(covariant.boost_point(p, e1), e2)
         q2 = covariant.boost_point(p, e1 + e2)
         dev = max(dev, abs(q1.z - q2.z), abs(q1.t - q2.t))
-    return _result("boost_composition", dev, 1e-12, "rapidity is additive")
+    return dev
 
 
-def check_boost_determinant() -> CheckResult:
-    dev = max(
+@check(1e-14)
+def check_boost_determinant():
+    return max(
         abs(float(np.linalg.det(covariant.boost_matrix(e))) - 1.0)
         for e in np.linspace(-3.0, 3.0, 13)
     )
-    return _result("boost_determinant", dev, 1e-14)
 
 
-def check_boost_invariance() -> CheckResult:
+@check(1e-12, "z^2 - t^2 = 2uv preserved")
+def check_boost_invariance():
     rng = np.random.default_rng(_SEED + 1)
     dev = 0.0
     for _ in range(100):
@@ -373,19 +387,20 @@ def check_boost_invariance() -> CheckResult:
         i1 = p.z**2 - p.t**2
         i2 = q.z**2 - q.t**2
         dev = max(dev, abs(i1 - i2) / max(1.0, abs(i1)))
-    return _result("boost_invariance", dev, 1e-12, "z^2 - t^2 = 2uv preserved")
+    return dev
 
 
-def check_lightcone_roundtrip() -> CheckResult:
+@check(1e-15)
+def check_lightcone_roundtrip():
     p = covariant.SpacetimePoint(z=0.8, t=-1.3)
     r = covariant.SpacetimePoint.from_lightcone(p.u, p.v)
     m = covariant.MomentumPoint(qz=-0.4, q0=2.1)
     s = covariant.MomentumPoint.from_lightcone(m.q_u, m.q_v)
-    dev = max(abs(r.z - p.z), abs(r.t - p.t), abs(s.qz - m.qz), abs(s.q0 - m.q0))
-    return _result("lightcone_roundtrip", dev, 1e-15)
+    return max(abs(r.z - p.z), abs(r.t - p.t), abs(s.qz - m.qz), abs(s.q0 - m.q0))
 
 
-def check_covariance_identity() -> CheckResult:
+@check(1e-12, "psi_eta at the boosted point is psi_0 at the original")
+def check_covariance_identity():
     rng = np.random.default_rng(_SEED + 2)
     dev = 0.0
     for _ in range(100):
@@ -396,15 +411,14 @@ def check_covariance_identity() -> CheckResult:
             dev,
             abs(covariant.boosted_wavefunction(q.z, q.t, e) - covariant.dirac_gaussian(p.z, p.t)),
         )
-    return _result(
-        "covariance_identity", dev, 1e-12, "psi_eta at the boosted point is psi_0 at the original"
-    )
+    return dev
 
 
-def check_squeeze_reciprocity() -> CheckResult:
+@check(1e-14, "eta -> -eta equals t -> -t")
+def check_squeeze_reciprocity():
     x = np.linspace(-3, 3, 20)
     z, t = x[:, None], x[None, :]
-    dev = max(
+    return max(
         float(
             np.max(
                 np.abs(
@@ -415,13 +429,13 @@ def check_squeeze_reciprocity() -> CheckResult:
         )
         for e in (0.7, 1.8)
     )
-    return _result("squeeze_reciprocity", dev, 1e-14, "eta -> -eta equals t -> -t")
 
 
-def check_cross_module_identity() -> CheckResult:
+@check(1e-14, "oscillator ground state and boosted wavefunction are one formula")
+def check_cross_module_identity():
     x = np.linspace(-3, 3, 20)
     a, b = x[:, None], x[None, :]
-    dev = max(
+    return max(
         float(
             np.max(
                 np.abs(oscillator.ground_state(a, b, e) - covariant.boosted_wavefunction(a, b, e))
@@ -429,53 +443,44 @@ def check_cross_module_identity() -> CheckResult:
         )
         for e in (0.0, 0.7, 1.5)
     )
-    return _result(
-        "cross_module_identity",
-        dev,
-        1e-14,
-        "oscillator ground state and boosted wavefunction are one formula",
-    )
 
 
-def check_fourier_consistency() -> CheckResult:
-    dev = max(covariant.fourier_consistency(e) for e in (0.0, 1.0, -1.0))
-    return _result("fourier_consistency", dev, 1e-6, "transform of psi_eta lands on phi_eta")
+@check(1e-6, "transform of psi_eta lands on phi_eta")
+def check_fourier_consistency():
+    return max(covariant.fourier_consistency(e) for e in (0.0, 1.0, -1.0))
 
 
-def check_wave_equation_zero_mode() -> CheckResult:
+@check(1e-5, "boost-invariant oscillator equation with eigenvalue 0")
+def check_wave_equation_zero_mode():
     pts = [(0.0, 0.0), (0.5, -0.3), (1.0, 0.7), (-1.2, 0.4)]
-    dev = max(
+    return max(
         abs(covariant.wave_equation_residual(z, t, e)) for z, t in pts for e in (0.0, 1.0)
-    )
-    return _result(
-        "wave_equation_zero_mode",
-        dev,
-        1e-5,
-        "boost-invariant oscillator equation with eigenvalue 0",
     )
 
 
 # --- parton -----------------------------------------------------------------
 
 
-def check_marginal_variance_law() -> CheckResult:
+@check(1e-6, "position and momentum widths co-grow")
+def check_marginal_variance_law():
     dev = 0.0
     for e in (0.0, 0.5, 1.0, 2.0):
         for var in ("z", "qz"):
             m = _marginal(e, var)
             dev = max(dev, abs(m.variance - math.cosh(e) / 2.0))
-    return _result("marginal_variance_law", dev, 1e-6, "position and momentum widths co-grow")
+    return dev
 
 
-def check_marginal_mass_containment() -> CheckResult:
-    dev = max(
+@check(1e-6, "|psi|^2 mass inside the default box")
+def check_marginal_mass_containment():
+    return max(
         abs(integrate_2d(lambda a, b, e=e: covariant.boosted_wavefunction(a, b, e) ** 2) - 1.0)
         for e in (0.0, 1.0, 2.0)
     )
-    return _result("marginal_mass_containment", dev, 1e-6, "|psi|^2 mass inside the default box")
 
 
-def check_width_co_growth() -> CheckResult:
+@check(1e-5, "uncertainty product cosh(eta)/2, increasing")
+def check_width_co_growth():
     etas = (0.0, 0.5, 1.0, 1.5, 2.0)
     prods = []
     dev = 0.0
@@ -484,33 +489,29 @@ def check_width_co_growth() -> CheckResult:
         sq = math.sqrt(_marginal(e, "qz").variance)
         prods.append(sz * sq)
         dev = max(dev, abs(sz * sq - math.cosh(e) / 2.0))
-    dev = max(dev, float(np.max(-np.diff(prods))), 0.0)
-    return _result(
-        "width_co_growth", max(dev, 0.0), 1e-5, "uncertainty product cosh(eta)/2, increasing"
-    )
+    return max(dev, float(np.max(-np.diff(prods))), 0.0)
 
 
-def check_lightcone_concentration() -> CheckResult:
+@check(0.0)
+def check_lightcone_concentration():
     frac = parton.lightcone_fraction(4.0, band=0.5, grid=uniform_grid(count=1201, extent=24.0))
-    return _result(
-        "lightcone_concentration",
-        max(0.0, 0.95 - frac),
-        0.0,
-        f"mass within |v| < 0.5 at eta=4 is {frac:.6f} (must exceed 0.95)",
-    )
+    detail = f"mass within |v| < 0.5 at eta=4 is {frac:.6f} (must exceed 0.95)"
+    return max(0.0, 0.95 - frac), detail
 
 
-def check_export_area() -> CheckResult:
+@check(1e-4, "exported eta=4 marginal integrates to 1")
+def check_export_area():
     with tempfile.TemporaryDirectory() as td:
         path = Path(td) / "marginal.csv"
         parton.export_gaussian_pdf(4.0, 101, path)
         rows = path.read_text(encoding="utf-8").splitlines()[1:]
         data = np.array([[float(f) for f in r.split(",")] for r in rows])
     area = float(np.sum(0.5 * (data[1:, 1] + data[:-1, 1]) * np.diff(data[:, 0])))
-    return _result("export_area", abs(area - 1.0), 1e-4, "exported eta=4 marginal integrates to 1")
+    return abs(area - 1.0)
 
 
-def check_overlay_roundtrip() -> CheckResult:
+@check(0.0, "ingest then re-export is byte-identical")
+def check_overlay_roundtrip():
     xs = np.linspace(-2.0, 2.0, 17)
     series = parton.OverlaySeries(x=xs, values=parton.model_density(1.0, xs), source="synthetic")
     with tempfile.TemporaryDirectory() as td:
@@ -519,65 +520,20 @@ def check_overlay_roundtrip() -> CheckResult:
         series.to_csv(p1)
         parton.ingest_overlay(p1).to_csv(p2)
         same = p1.read_bytes() == p2.read_bytes()
-    return _result("overlay_roundtrip", 0.0 if same else 1.0, 0.0, "ingest then re-export is byte-identical")
+    return 0.0 if same else 1.0
 
 
-def check_cli_determinism() -> CheckResult:
+@check(0.0, "identical bytes on repeat runs")
+def check_cli_determinism():
     from . import cli
 
     buf1, buf2 = io.StringIO(), io.StringIO()
     cli._write_sweep(buf1, 0.0, 2.0, 5, 1.0)
     cli._write_sweep(buf2, 0.0, 2.0, 5, 1.0)
     same = buf1.getvalue() == buf2.getvalue() and len(buf1.getvalue()) > 0
-    return _result("cli_determinism", 0.0 if same else 1.0, 0.0, "identical bytes on repeat runs")
-
-
-CHECKS = [
-    check_grid_gaussian_integral,
-    check_hermite_orthonormality_wide,
-    check_hermite_orthonormality_default,
-    check_hermite_stability_k128,
-    check_oracle_kernel_symmetry,
-    check_oracle_kernel_trace,
-    check_pure_state_idempotency,
-    check_normal_mode_frequencies,
-    check_hamiltonian_form_equivalence,
-    check_ground_state_normalization,
-    check_ground_state_peak_bound,
-    check_separability_zero_coupling,
-    check_schmidt_normalization,
-    check_schmidt_vs_quadrature,
-    check_schmidt_offdiagonal,
-    check_reduced_eigenvalues_vs_oracle,
-    check_eigenvalue_normalization,
-    check_purity_closed_vs_series,
-    check_purity_closed_vs_grid,
-    check_entropy_closed_vs_sum,
-    check_entropy_symmetry,
-    check_entanglement_monotonicity,
-    check_thermal_equivalence,
-    check_thermal_zero_temperature_limit,
-    check_schmidt_reconstruction,
-    check_schmidt_truncation_tail_identity,
-    check_boost_composition,
-    check_boost_determinant,
-    check_boost_invariance,
-    check_lightcone_roundtrip,
-    check_covariance_identity,
-    check_squeeze_reciprocity,
-    check_cross_module_identity,
-    check_fourier_consistency,
-    check_wave_equation_zero_mode,
-    check_marginal_variance_law,
-    check_marginal_mass_containment,
-    check_width_co_growth,
-    check_lightcone_concentration,
-    check_export_area,
-    check_overlay_roundtrip,
-    check_cli_determinism,
-]
+    return 0.0 if same else 1.0
 
 
 def run_all() -> VerifyReport:
-    results = tuple(check() for check in CHECKS)
+    results = tuple(entry() for entry in CHECKS)
     return VerifyReport(checks=results, overall_pass=all(r.passed for r in results))

@@ -163,11 +163,10 @@ class TestParton:
         assert lines[0] == "coordinate,model_density"
         assert len(lines) == 102  # default --n 101
 
-    def test_var_label_does_not_change_numbers(self, tmp_path):
-        a, b = tmp_path / "z.csv", tmp_path / "qz.csv"
-        run(["parton", "--eta", "1.5", "--var", "z", "--out", str(a)])
-        run(["parton", "--eta", "1.5", "--var", "qz", "--out", str(b)])
-        assert a.read_bytes() == b.read_bytes()
+    def test_var_flag_is_gone(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run(["parton", "--eta", "1.5", "--var", "z", "--out", str(tmp_path / "p.csv")])
+        assert exc.value.code == 2
 
     def test_overlay_passthrough(self, tmp_path):
         ov = tmp_path / "ov.csv"
@@ -266,6 +265,19 @@ class TestSweep:
             run(["sweep", "--start", "0", "--stop", "1", "--steps", "2", "--kmax", "5",
                  "--out", str(tmp_path / "s.csv")])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("start, stop", [("-1e308", "1e308"), ("-inf", "1"), ("0", "nan")])
+    def test_range_without_finite_width_exits_1(self, start, stop, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["sweep", f"--start={start}", f"--stop={stop}", "--steps=3", f"--out={out}"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"coupledosc: error: the sweep range {float(start):g} to {float(stop):g} has no finite "
+            "width; use a narrower range\n"
+        )
+        assert not out.exists()
 
     def test_zero_steps_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

@@ -207,20 +207,6 @@ def test_boost_csv(tmp_path):
     assert out.read_bytes() == reference(("z", "t", "psi", "qz", "q0", "phi"), rows)
 
 
-def test_boost_renders_phi_when_it_differs(tmp_path, monkeypatch):
-    def halved(qz, q0, eta):
-        return covariant.boosted_wavefunction(qz, q0, eta) * 0.5
-
-    monkeypatch.setattr(covariant, "momentum_wavefunction", halved)
-    out = tmp_path / "boost.csv"
-    assert cli.main(["boost", "--eta=0.3", "--grid=5", "--extent=2", f"--out={out}"]) == 0
-    nodes = np.linspace(-2.0, 2.0, 5)
-    A, B = np.meshgrid(nodes, nodes, indexing="ij")
-    psi = covariant.boosted_wavefunction(A, B, 0.3)
-    rows = zip(A.ravel(), B.ravel(), psi.ravel(), A.ravel(), B.ravel(), 0.5 * psi.ravel())
-    assert out.read_bytes() == reference(("z", "t", "psi", "qz", "q0", "phi"), rows)
-
-
 def test_entangle_eigenvalue_csv(tmp_path, capsys):
     out = tmp_path / "p.csv"
     assert cli.main(["entangle", "--eta=1.1", "--kmax=1500", f"--csv={out}"]) == 0

@@ -1,9 +1,50 @@
-"""The verify checks that share inputs give the bits of the loops they replaced."""
+"""The verify registry, and the checks that share inputs give the bits of the loops they replaced."""
 
 import math
 
+import pytest
+
 from coupledosc import entanglement, oscillator, parton, verify
-from coupledosc.numerics import hermite_fn, integrate_2d
+from coupledosc.numerics import hermite_fn, integrate_2d, uniform_grid
+
+
+@pytest.fixture(scope="module")
+def report():
+    return verify.run_all()
+
+
+@pytest.fixture
+def registry():
+    saved = list(verify.CHECKS)
+    yield verify.CHECKS
+    verify.CHECKS[:] = saved
+
+
+def test_registry_holds_42_uniquely_named_checks(report):
+    assert len(verify.CHECKS) == 42
+    assert len({r.name for r in report.checks}) == 42
+
+
+def test_each_entry_is_the_module_function_named_after_its_result(report):
+    for entry, result in zip(verify.CHECKS, report.checks, strict=True):
+        assert entry.__name__ == "check_" + result.name
+        assert getattr(verify, entry.__name__) is entry
+
+
+def test_run_all_runs_entries_replaced_in_place(registry, report):
+    # the benchmark tracer wraps each entry in place; run_all must run the wrappers
+    ran = []
+    for i, result in enumerate(report.checks):
+        registry[i] = lambda result=result: ran.append(result.name) or result
+    assert verify.run_all() == report
+    assert ran == [r.name for r in report.checks]
+
+
+def test_lightcone_concentration_detail_carries_the_fraction():
+    result = verify.check_lightcone_concentration()
+    frac = parton.lightcone_fraction(4.0, band=0.5, grid=uniform_grid(count=1201, extent=24.0))
+    assert result.detail == f"mass within |v| < 0.5 at eta=4 is {frac:.6f} (must exceed 0.95)"
+    assert result.deviation == max(0.0, 0.95 - frac)
 
 
 def count_calls(monkeypatch, module, name):
