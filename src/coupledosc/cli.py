@@ -64,6 +64,7 @@ def cmd_entangle(args) -> int:
         raise ValueError(f"--kmax must be nonnegative, got {args.kmax}")
     exp_ = entanglement.schmidt_coefficients(args.eta, k_max=args.kmax)
     rs = entanglement.reduced_state(args.eta, k_max=args.kmax)
+    entanglement.check_omega(args.omega)
     if args.eta == 0.0:
         x_val, temp = None, 0.0
     else:
@@ -141,6 +142,7 @@ def _write_sweep(dest, start: float, stop: float, steps: int, omega: float) -> N
         raise ValueError(
             f"the sweep range {start:g} to {stop:g} has no finite width; use a narrower range"
         )
+    entanglement.check_omega(omega)
     etas = np.linspace(start, stop, steps)
 
     def temperature(eta):

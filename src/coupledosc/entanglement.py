@@ -171,6 +171,14 @@ def entropy(eta: float) -> float:
     return 2.0 * (0.25 * (1.0 - e2) ** 2 * (ln_coth / e2) + ln_ch)
 
 
+def check_omega(omega) -> float:
+    """omega as a float; ValueError unless it is finite and positive."""
+    omega = float(omega)
+    if not math.isfinite(omega) or omega <= 0.0:
+        raise ValueError(f"omega must be positive, got {omega}")
+    return omega
+
+
 def effective_temperature(eta: float, omega: float = 1.0) -> ThermalMap:
     """Temperature at which the unobserved mode's ladder is exactly Boltzmann.
 
@@ -179,22 +187,20 @@ def effective_temperature(eta: float, omega: float = 1.0) -> ThermalMap:
     is rejected explicitly rather than returning an infinity, as is an omega
     so large that omega/x overflows.
     """
-    eta = check_eta(eta)
-    if not math.isfinite(omega) or omega <= 0.0:
-        raise ValueError(f"omega must be positive, got {omega}")
+    eta, omega = check_eta(eta), check_omega(omega)
     if eta == 0.0:
         raise ValueError("eta = 0 is the zero-temperature limit; no finite x exists")
     x = 2.0 * _ln_coth_half(abs(eta))
     if x <= 0.0:
         raise ValueError(f"|eta| = {abs(eta):g} is too large: x underflows to zero")
-    temperature = float(omega) / x
+    temperature = omega / x
     if not math.isfinite(temperature):
         # here x < 1, so the largest usable omega, x * float max, is finite
         raise ValueError(
             f"T = omega/x overflows a float at |eta| = {abs(eta):g} (x = {x:.6g}); "
             f"omega must be at most {x * sys.float_info.max:.6g}, got {omega:g}"
         )
-    return ThermalMap(omega=float(omega), x=x, temperature=temperature)
+    return ThermalMap(omega=omega, x=x, temperature=temperature)
 
 
 def thermal_entropy(x: float) -> float:

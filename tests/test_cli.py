@@ -103,6 +103,14 @@ class TestEntangle:
         assert out == ""
         assert "omega must be at most 4.84518e+306" in err
 
+    @pytest.mark.parametrize("omega", ["-1", "0", "nan", "inf"])
+    def test_bad_omega_at_zero_squeeze_exits_1(self, omega, capsys):
+        # eta = 0 has no temperature to compute, and checks omega all the same
+        assert run(["entangle", "--eta=0", f"--omega={omega}", "--kmax=2"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"coupledosc: error: omega must be positive, got {float(omega)}\n"
+
     def test_underresolved_kernel_exits_1(self, tmp_path, capsys):
         out = tmp_path / "kern.csv"
         assert run(["entangle", "--eta", "3", "--kernel-csv", str(out)]) == 1
@@ -253,6 +261,13 @@ class TestSweep:
         out = tmp_path / "s.csv"
         assert run(["sweep", "--start=0", "--stop=5", "--steps=3", "--omega=1e308", f"--out={out}"]) == 1
         assert "T = omega/x overflows a float" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("omega", ["-1", "nan"])
+    def test_bad_omega_at_zero_squeeze_exits_1(self, omega, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        assert run(["sweep", "--start=0", "--stop=0", "--steps=1", f"--omega={omega}", f"--out={out}"]) == 1
+        assert capsys.readouterr().err == f"coupledosc: error: omega must be positive, got {float(omega)}\n"
         assert not out.exists()
 
     def test_reversed_range_is_usage_error(self, tmp_path):

@@ -7,6 +7,8 @@ every writer must still produce exactly those bytes.
 import ast
 import io
 import math
+import os
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -39,7 +41,9 @@ def written(header, columns) -> bytes:
 
 @pytest.mark.parametrize(
     "n",
-    [0, 1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1, 3 * CSV_BLOCK_ROWS + 7],
+    # 1023-3079 end around the boundaries of an earlier 1024-row block, now inside one
+    [0, 1, 1023, 1024, 1025, 3079,
+     CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1, 3 * CSV_BLOCK_ROWS + 7],
 )
 def test_row_counts_around_block_boundaries(n):
     rng = np.random.default_rng(n)
@@ -49,7 +53,7 @@ def test_row_counts_around_block_boundaries(n):
     assert written(("a", "b"), (a, b)) == reference(("a", "b"), zip(a, b))
 
 
-@pytest.mark.parametrize("width", [1, 7, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS + 3])
+@pytest.mark.parametrize("width", [1, 7, 1023, 1027, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS + 3])
 def test_two_dimensional_columns_follow_c_order(width):
     x = np.linspace(-1.0, 1.0, 5)
     y = np.linspace(-3.0, 2.0, width)
@@ -57,6 +61,81 @@ def test_two_dimensional_columns_follow_c_order(width):
     X, Y = np.meshgrid(x, y, indexing="ij")
     expect = reference(("x", "y", "v"), zip(X.ravel(), Y.ravel(), vals.ravel()))
     assert written(("x", "y", "v"), (x[:, None], y[None, :], vals)) == expect
+
+
+@pytest.mark.parametrize("shape", [(CSV_BLOCK_ROWS + 3, 2), (2, CSV_BLOCK_ROWS + 3), (1, 3 * CSV_BLOCK_ROWS + 5)],
+                         ids=str)
+def test_meshes_with_rows_longer_or_shorter_than_a_block(shape):
+    rng = np.random.default_rng(sum(shape))
+    x = np.linspace(-1.0, 1.0, shape[0])
+    y = rng.standard_normal(shape[1])
+    vals = rng.lognormal(0.0, 5.0, shape)
+    X, Y = np.meshgrid(x, y, indexing="ij")
+    expect = reference(("x", "y", "v", "y2"), zip(X.ravel(), Y.ravel(), vals.ravel(), Y.ravel()))
+    yy = y[None, :]
+    assert written(("x", "y", "v", "y2"), (x[:, None], yy, vals, yy)) == expect
+
+
+def export_shapes():
+    """(header, columns, reference rows) for the shapes of the five export tables, smaller."""
+    rng = np.random.default_rng(11)
+    z, t = np.linspace(-8.0, 8.0, 61), np.linspace(-8.0, 8.0, 150)
+    psi = covariant.boosted_wavefunction(z[:, None], t[None, :], 0.44)
+    Z, T = np.meshgrid(z, t, indexing="ij")
+    kern = oracle_reduced_density(-0.65, uniform_grid(71, 8.0))
+    x = kern.grid.nodes
+    X, XP = np.meshgrid(x, x, indexing="ij")
+    n = 2 * CSV_BLOCK_ROWS + 5
+    coords = np.linspace(-6.0, 6.0, n)
+    dens = parton.model_density(-0.66, coords)
+    overlay = rng.uniform(0.0, 0.6, n)
+    sweep = [rng.lognormal(0.0, 4.0, n) for _ in range(4)]
+    return [
+        (("z", "t", "psi", "qz", "q0", "phi"), (z[:, None], t[None, :], psi, z[:, None], t[None, :], psi),
+         zip(Z.ravel(), T.ravel(), psi.ravel(), Z.ravel(), T.ravel(), psi.ravel())),
+        (("x", "x_prime", "value"), (x[:, None], x[None, :], kern.values),
+         zip(X.ravel(), XP.ravel(), kern.values.ravel())),
+        (("coordinate", "model_density"), (coords, dens), zip(coords, dens)),
+        (("coordinate", "model_density", "overlay_value"), (coords, dens, overlay), zip(coords, dens, overlay)),
+        (("eta", "purity", "entropy", "T", "width_z", "width_qz"), (coords, *sweep, sweep[-1]),
+         zip(coords, *sweep, sweep[-1])),
+    ]
+
+
+def test_every_cell_byte_is_set(monkeypatch):
+    # np.empty returns 0xFF bytes: any byte the writer leaves unset shows in the
+    # output, where uninitialised memory that happens to be NUL would vanish
+    empty = np.empty
+
+    def poisoned(*args, **kwargs):
+        out = empty(*args, **kwargs)
+        out.reshape(-1).view(np.uint8)[:] = 0xFF
+        return out
+
+    shapes = export_shapes()
+    monkeypatch.setattr(numerics.np, "empty", poisoned)
+    for header, columns, rows in shapes:
+        assert written(header, columns) == reference(header, rows), header
+
+
+@pytest.mark.parametrize("table, ceiling_mib", [("boost", 4), ("parton", 2)])
+def test_write_memory_is_bounded_by_the_block(table, ceiling_mib):
+    # the 401 x 401 boost mesh (161k rows, 10 MB written) and the 100,001-row parton
+    # export: what the writer allocates is bounded by its blocks, not by the table
+    if table == "boost":
+        z = uniform_grid().nodes[:, None]
+        psi = covariant.boosted_wavefunction(z, z.T, 0.44)
+        header, columns = ("z", "t", "psi", "qz", "q0", "phi"), (z, z.T, psi, z, z.T, psi)
+    else:
+        coords = np.linspace(-6.0, 6.0, 100_001)
+        header, columns = ("coordinate", "model_density"), (coords, parton.model_density(-0.66, coords))
+    tracemalloc.start()
+    try:
+        write_csv(os.devnull, header, columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < ceiling_mib * 2**20
 
 
 def test_signed_zero_stays_signed():
@@ -245,6 +324,20 @@ def test_sweep_csv():
         eta = float(eta)
         temp = 0.0 if eta == 0.0 else entanglement.effective_temperature(eta, omega=1.5).temperature
         w = parton.width(eta)
+        rows.append((eta, entanglement.purity(eta), entanglement.entropy(eta), temp, w, w))
+    header = ("eta", "purity", "entropy", "T", "width_z", "width_qz")
+    assert buf.getvalue().encode() == reference(header, rows)
+
+
+def test_long_sweep_keeps_the_scalar_closed_forms():
+    # 10,001 rows take the vector renderer. The closed forms stay one math call per
+    # eta: numpy's cosh, exp and log1p differ from math's in the last bit on some etas
+    buf = io.StringIO()
+    cli._write_sweep(buf, 0.99, 2.87, 10_001, 1.0)
+    rows = []
+    for eta in np.linspace(0.99, 2.87, 10_001).tolist():
+        w = parton.width(eta)
+        temp = entanglement.effective_temperature(eta).temperature
         rows.append((eta, entanglement.purity(eta), entanglement.entropy(eta), temp, w, w))
     header = ("eta", "purity", "entropy", "T", "width_z", "width_qz")
     assert buf.getvalue().encode() == reference(header, rows)

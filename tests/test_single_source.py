@@ -20,6 +20,8 @@ SRC = Path(numerics.__file__).parent
 QUARTER_FORM = re.compile(r"\b(np|math)\.exp\(\s*-0\.25\s*\*")
 LIGHTCONE_FORM = re.compile(r"\b(np|math)\.exp\(\s*-?eta\s*\)\s*\*\s*(\w+)\s*\*\s*\2\b")
 RECURRENCE = re.compile(r"\b(np|math)\.sqrt\(\s*\w+(\.\d+)?\s*/\s*\(\s*\w+\s*\+\s*1(\.0)?\s*\)\s*\)")
+# every command checks --omega through one helper, at eta = 0 too
+OMEGA_CHECK = re.compile(r"omega must be positive")
 
 
 def sites(pattern):
@@ -44,8 +46,9 @@ def sites(pattern):
         (QUARTER_FORM, ("numerics.py", "squeezed_gaussian")),
         (LIGHTCONE_FORM, ("covariant.py", "boosted_wavefunction")),
         (RECURRENCE, ("numerics.py", "hermite_basis")),
+        (OMEGA_CHECK, ("entanglement.py", "check_omega")),
     ],
-    ids=["quarter-form-gaussian", "lightcone-gaussian", "hermite-recurrence"],
+    ids=["quarter-form-gaussian", "lightcone-gaussian", "hermite-recurrence", "omega-check"],
 )
 def test_written_once(pattern, home):
     assert sites(pattern) == {home}
