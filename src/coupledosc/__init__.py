@@ -23,6 +23,7 @@ _EXPORTS = {
     "entanglement": (
         "FockExpansion", "ReducedState", "ThermalMap", "effective_temperature", "entropy",
         "purity", "purity_series", "reduced_state", "schmidt_coefficients", "thermal_entropy",
+        "width",
     ),
     "numerics": (
         "DensityKernel", "GridResolutionError", "QuadratureGrid", "default_grid", "hermite_fn",
@@ -35,7 +36,6 @@ _EXPORTS = {
     "parton": (
         "MarginalDistribution", "OverlayParseError", "OverlaySeries", "OverlayValidationError",
         "export_gaussian_pdf", "ingest_overlay", "lightcone_fraction", "longitudinal_density",
-        "width",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

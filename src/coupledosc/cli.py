@@ -1,10 +1,12 @@
 """Command-line front end: mode data, entanglement summaries, boosted fields,
 parton marginals, parameter sweeps, and the self-verification report.
 
-All numeric output is rendered at 15 significant digits; every CSV is
-written by numerics.write_csv (UTF-8, LF line endings, a header row), and
-every command is deterministic: the same invocation produces the same bytes.
-Each command imports what it runs, so modes, --help and usage errors
+All numeric output is rendered at 15 significant digits. Every CSV is
+UTF-8 with LF line endings and a header row: numerics.write_csv writes the
+array tables, and sweep writes its rows with floats.format_floats, which
+write_csv's renderer also uses for the values it leaves to Python. Every
+command is deterministic: the same invocation produces the same bytes. Each
+command imports what it runs, so modes, sweep, --help and usage errors
 start without numpy.
 
 Exit codes: 0 success, 1 domain or data error (bad physics parameters,
@@ -12,11 +14,14 @@ unreadable overlay, failed verification), 2 usage error.
 """
 
 import argparse
-import json
 import math
 import sys
+from array import array
 
 _PROG = "coupledosc"
+
+# rows of the sweep formatted and written at a time, so its text stays a bounded size
+_SWEEP_BLOCK_ROWS = 4096
 
 
 def _f(x):
@@ -25,6 +30,8 @@ def _f(x):
 
 
 def _emit_json(payload: dict, out: str | None) -> None:
+    import json
+
     text = json.dumps(payload, indent=2) + "\n"
     if out:
         with open(out, "w", encoding="utf-8", newline="") as fh:
@@ -131,11 +138,25 @@ def cmd_parton(args) -> int:
     return 0
 
 
-def _write_sweep(dest, start: float, stop: float, steps: int, omega: float) -> None:
-    import numpy as np
+def _linspace(start: float, stop: float, steps: int) -> array:
+    """np.linspace(start, stop, steps), bit for bit, as an array of doubles."""
+    delta = stop - start
+    div = steps - 1
+    if div == 0:
+        return array("d", [0.0 * delta + start])
+    step = delta / div
+    if step == 0.0:
+        # numpy's branch for a step that underflows: divide i before scaling by delta
+        grid = array("d", (i / div * delta + start for i in range(steps)))
+    else:
+        grid = array("d", (i * step + start for i in range(steps)))
+    grid[-1] = stop
+    return grid
 
-    from . import entanglement, parton
-    from .numerics import check_table_size, write_csv
+
+def _write_sweep(dest, start: float, stop: float, steps: int, omega: float) -> None:
+    from . import entanglement
+    from .floats import check_table_size, format_floats
 
     check_table_size(steps, f"a sweep of --steps={steps} rows", "use fewer steps")
     if not math.isfinite(stop - start):
@@ -143,19 +164,30 @@ def _write_sweep(dest, start: float, stop: float, steps: int, omega: float) -> N
             f"the sweep range {start:g} to {stop:g} has no finite width; use a narrower range"
         )
     entanglement.check_omega(omega)
-    etas = np.linspace(start, stop, steps)
+    etas = _linspace(start, stop, steps)
 
     def temperature(eta):
         if eta == 0.0:
             return 0.0
         return entanglement.effective_temperature(eta, omega=omega).temperature
 
-    purity, entropy, temp, width = (
-        np.fromiter(map(f, etas), float, count=steps)
-        for f in (entanglement.purity, entanglement.entropy, temperature, parton.width)
-    )
-    header = ("eta", "purity", "entropy", "T", "width_z", "width_qz")
-    write_csv(dest, header, (etas, purity, entropy, temp, width, width))
+    # column by column, as doubles: a value that fails raises before any file is opened
+    columns = [etas] + [
+        array("d", map(f, etas))
+        for f in (entanglement.purity, entanglement.entropy, temperature, entanglement.width)
+    ]
+
+    def text():
+        yield "eta,purity,entropy,T,width_z,width_qz\n"
+        for first in range(0, steps, _SWEEP_BLOCK_ROWS):
+            block = (format_floats(c[first:first + _SWEEP_BLOCK_ROWS]) for c in columns)
+            yield "".join(f"{e},{p},{s},{t},{w},{w}\n" for e, p, s, t, w in zip(*block))
+
+    if hasattr(dest, "write"):
+        dest.writelines(text())
+    else:
+        with open(dest, "w", encoding="utf-8", newline="") as fh:
+            fh.writelines(text())
 
 
 def cmd_sweep(args) -> int:

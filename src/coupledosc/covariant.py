@@ -35,8 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import COSH_ETA_MAX, EXP_ETA_MAX, QuadratureGrid, check_eta, check_resolution
-from .numerics import default_grid, eta_range_error
+from .floats import COSH_ETA_MAX, EXP_ETA_MAX, check_eta, eta_range_error
+from .numerics import QuadratureGrid, check_resolution, default_grid
 
 _SQRT2 = math.sqrt(2.0)
 

@@ -21,15 +21,25 @@ x = hbar omega / kB T makes p_k = (1 - e^{-x}) e^{-kx}, so the unobserved
 mode looks exactly thermal at temperature T = omega/x. The thermal-side
 entropy x/(e^x - 1) - ln(1 - e^{-x}) then equals S identically, not just
 asymptotically. S is even in eta and vanishes only at eta = 0.
+
+The same squeeze sets the reduced state's quadrature variance
+nu = cosh(eta)/2, so its width is sqrt(nu); this is the width of either
+longitudinal marginal of the boosted state (parton re-exports it).
+
+The scalar closed forms (purity, entropy, the thermal map, the width) need
+only math; the array functions (schmidt_coefficients, reduced_state,
+purity_series, FockExpansion.reconstruct) import numpy when called.
 """
 
 import math
 import sys
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+from .floats import COSH_ETA_MAX, EXP_ETA_MAX, check_eta, eta_range_error
 
-from .numerics import COSH_ETA_MAX, EXP_ETA_MAX, check_eta, eta_range_error, hermite_basis
+if TYPE_CHECKING:
+    import numpy as np
 
 # below this |eta|, e^{-|eta|} is too close to 1 for the log1p(+-e^{-|eta|}) forms
 SMALL_ETA = 0.01
@@ -49,11 +59,15 @@ class FockExpansion:
 
     eta: float
     k_max: int
-    coefficients: np.ndarray
+    coefficients: "np.ndarray"
     tail: float
 
     def reconstruct(self, x1, x2):
         """Evaluate sum_{k<=k_max} c_k phi_k(x1) phi_k(x2) pointwise."""
+        import numpy as np
+
+        from .numerics import hermite_basis
+
         x1a = np.atleast_1d(np.asarray(x1, dtype=float))
         x2a = np.atleast_1d(np.asarray(x2, dtype=float))
         shape = np.broadcast_shapes(x1a.shape, x2a.shape)
@@ -69,7 +83,7 @@ class ReducedState:
 
     eta: float
     k_max: int
-    eigenvalues: np.ndarray
+    eigenvalues: "np.ndarray"
     tail: float
 
 
@@ -105,6 +119,8 @@ def _check_k_max(k_max: int) -> None:
 
 def schmidt_coefficients(eta: float, k_max: int = 64) -> FockExpansion:
     """Schmidt coefficients c_k = tanh^k(eta/2)/cosh(eta/2) up to k_max."""
+    import numpy as np
+
     eta = check_eta(eta)
     _check_k_max(k_max)
     t = math.tanh(eta / 2.0)
@@ -119,6 +135,8 @@ def schmidt_coefficients(eta: float, k_max: int = 64) -> FockExpansion:
 
 def reduced_state(eta: float, k_max: int = 64) -> ReducedState:
     """Eigenvalues p_k of the reduced density, a geometric distribution in k."""
+    import numpy as np
+
     eta = check_eta(eta)
     _check_k_max(k_max)
     t2 = math.tanh(abs(eta) / 2.0) ** 2
@@ -142,6 +160,8 @@ def purity(eta: float) -> float:
 
 def purity_series(eta: float, k_max: int = 64) -> float:
     """Truncated sum_k p_k^2; must agree with the closed form up to the tail."""
+    import numpy as np
+
     p = reduced_state(eta, k_max).eigenvalues
     return float(np.sum(p * p))
 
@@ -169,6 +189,16 @@ def entropy(eta: float) -> float:
     ln_ch = 0.5 * eta - math.log(2.0) + math.log1p(e2)
     # sinh^2(h) ln coth(h) = (1 - e2)^2 / 4 * (ln coth / e2), overflow-free
     return 2.0 * (0.25 * (1.0 - e2) ** 2 * (ln_coth / e2) + ln_ch)
+
+
+def width(eta: float) -> float:
+    """sqrt(nu), nu = cosh(eta)/2: the reduced state's quadrature width, which is the
+    standard deviation of either longitudinal marginal of the boosted state."""
+    eta = check_eta(eta)
+    try:
+        return math.sqrt(math.cosh(eta) / 2.0)
+    except OverflowError:
+        raise eta_range_error(eta, "the marginal width sqrt(cosh(eta)/2)", COSH_ETA_MAX) from None
 
 
 def check_omega(omega) -> float:

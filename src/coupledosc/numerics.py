@@ -16,8 +16,10 @@ which stays in range and keeps full relative accuracy to k = 128 and beyond
 
 The reduced-density oracle tabulates a two-argument wavefunction on the grid
 and contracts one argument with the quadrature weights; all spectral claims
-(Schmidt coefficients, purity, entropy) are validated against it. Every CSV
-the package writes goes through write_csv.
+(Schmidt coefficients, purity, entropy) are validated against it. Every
+array table the package writes goes through write_csv; its renderer and the
+sweep format floats with floats.format_floats. The eta and table-size guards
+live in floats, which needs no numpy, and are importable from here too.
 
 The squeezed Gaussian has two routes. squeezed_gaussian, in x1 +- x2, serves
 oscillator.ground_state and the oracle; covariant.boosted_wavefunction writes
@@ -26,7 +28,6 @@ so they are kept apart.
 """
 
 import math
-import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from types import SimpleNamespace
@@ -34,14 +35,17 @@ from typing import Callable
 
 import numpy as np
 
+from . import floats
+from .floats import (  # noqa: F401  (also importable from here)
+    COSH_ETA_MAX, EXP_ETA_MAX, MAX_TABLE_VALUES, EtaRangeError, check_eta, check_table_size,
+    eta_range_error, format_floats,
+)
+
 DEFAULT_COUNT = 401
 DEFAULT_EXTENT = 8.0
 
 # hard cap for the reduced-density oracle; beyond this no sane grid fits the state
 MAX_ORACLE_ETA = 6.0
-
-# |eta| beyond which math.cosh(eta) and math.exp(eta) overflow
-COSH_ETA_MAX, EXP_ETA_MAX = math.acosh(sys.float_info.max), math.log(sys.float_info.max)
 
 # values per write_csv block, in whole rows of the lead axis. _render's fixed cost of about 60
 # numpy calls is spread over the block, and its ~20 temporaries stay in L2: on a 2 MiB-L2
@@ -53,40 +57,9 @@ CSV_BLOCK_ROWS = 4096
 # A multiple of the row groups of OpenBLAS gemv, so each reduced value keeps its bits.
 MESH_BLOCK_ROWS = 64
 
-# largest table of floats any call builds: 2^24, 128 MiB. A Hermite table is (k_max + 1) x
-# points, a grid is used as a count x count mesh, a parton export or sweep has a row per point.
-MAX_TABLE_VALUES = 1 << 24
-
 
 class GridResolutionError(ValueError):
     """Raised when a grid cannot resolve or contain the requested state."""
-
-
-class EtaRangeError(ValueError):
-    """Raised when eta is finite but a closed form overflows a float there."""
-
-
-def check_eta(eta) -> float:
-    """eta as a float; ValueError unless it is finite."""
-    eta = float(eta)
-    if not math.isfinite(eta):
-        raise ValueError("eta must be finite")
-    return eta
-
-
-def check_table_size(values: int, table: str, remedy: str) -> None:
-    """ValueError when ``table``, of ``values`` floats, would exceed MAX_TABLE_VALUES.
-
-    Callers check before they allocate; ``remedy`` says how to stay under the cap.
-    """
-    if values > MAX_TABLE_VALUES:
-        raise ValueError(f"{table} ({values} values) exceeds the cap of {MAX_TABLE_VALUES}; {remedy}")
-
-
-def eta_range_error(eta: float, form: str, limit: float) -> EtaRangeError:
-    """The error for an eta at which ``form`` overflows, as it does beyond |eta| = ``limit``."""
-    usable = math.floor(limit * 100.0) / 100.0
-    return EtaRangeError(f"|eta| = {abs(eta):g} overflows {form}; the usable range is |eta| <= {usable:g}")
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -129,7 +102,7 @@ def uniform_grid(count: int = DEFAULT_COUNT, extent: float = DEFAULT_EXTENT) -> 
     """
     if count < 2:
         raise ValueError(f"grid needs at least 2 nodes, got {count}")
-    side = math.isqrt(MAX_TABLE_VALUES)
+    side = math.isqrt(floats.MAX_TABLE_VALUES)  # the cap check_table_size reads, patched or not
     check_table_size(int(count) ** 2, f"a {count} x {count} mesh", f"use at most {side} grid nodes")
     h = 2.0 * extent / (count - 1)
     if not 0.0 < h < math.inf:
@@ -379,19 +352,19 @@ def _cells(text: list) -> np.ndarray:
 def _render(values: np.ndarray) -> np.ndarray:
     """The 1-D ``values`` as an (n, W) uint8 array of NUL-padded cells, last byte free.
 
-    Integers are written as %d. Floats are written exactly as %.15g writes
-    them: m = |x| 10**(14 - e), e = floor(log10 |x|), is formed in long double
-    and rounded to the 15-digit integer r, whose digits are laid out in %g's
-    fixed or exponent form. Python formats what this cannot get right for
-    certain: zeros, subnormals, non-finite values, values whose e comes out
-    off by one, and values within _ROUND_MARGIN of a rounding tie. It also
-    formats blocks of fewer than _VECTOR_MIN values, where it is faster.
+    Integers are written as %d. Floats are written exactly as format_floats
+    writes them: m = |x| 10**(14 - e), e = floor(log10 |x|), is formed in long
+    double and rounded to the 15-digit integer r, whose digits are laid out in
+    %g's fixed or exponent form. format_floats formats what this cannot get
+    right for certain: zeros, subnormals, non-finite values, values whose e
+    comes out off by one, and values within _ROUND_MARGIN of a rounding tie. It
+    also formats blocks of fewer than _VECTOR_MIN values, where it is faster.
     """
     if values.dtype.kind in "iu":
         return _cells(["%d" % v for v in values.tolist()])
     x = np.asarray(values, dtype=float)
     if x.size < _VECTOR_MIN or _ROUND_MARGIN >= 0.5:
-        return _cells(["%.15g" % v for v in x.tolist()])
+        return _cells(format_floats(x.tolist()))
     t = _tables()
     a = np.abs(x)
     exact = (a >= _TINY) & (a <= _HUGE)
@@ -422,7 +395,7 @@ def _render(values: np.ndarray) -> np.ndarray:
     cells = cells.view(np.uint8)
     inexact = np.flatnonzero(~exact)
     if inexact.size:
-        cells[inexact] = _cells(["%.15g" % v for v in x[inexact].tolist()])
+        cells[inexact] = _cells(format_floats(x[inexact].tolist()))
     return cells
 
 

@@ -12,6 +12,10 @@ eta = 0. At large eta the density |psi_eta|^2 piles up along the light cone:
 the narrow axis shrinks as e^{-eta/2} while the long axis stretches as
 e^{+eta/2}, which is the parton picture emerging from one squeezed Gaussian.
 
+The marginal width sqrt(cosh(eta)/2) is also the quadrature width of one
+oscillator's reduced state: it is defined as entanglement.width and
+re-exported here as width.
+
 CSV exports go through numerics.write_csv (15 significant digits, LF, UTF-8,
 header row), so ingesting a previously exported overlay and re-exporting
 reproduces the bytes exactly.
@@ -25,9 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import covariant
-from .numerics import COSH_ETA_MAX, MESH_BLOCK_ROWS, QuadratureGrid, blocks, check_eta
-from .numerics import check_resolution, check_table_size, default_grid, eta_range_error, write_csv
+from .entanglement import width
+from .floats import COSH_ETA_MAX, check_eta, check_table_size, eta_range_error
+from .numerics import MESH_BLOCK_ROWS, QuadratureGrid, blocks, check_resolution, default_grid, write_csv
 
 _VARIABLES = ("z", "qz")
 
@@ -61,15 +65,6 @@ class OverlaySeries:
         write_csv(path, ("x", "value"), (self.x, self.values))
 
 
-def width(eta: float) -> float:
-    """Standard deviation sqrt(cosh(eta)/2) of either longitudinal marginal."""
-    eta = check_eta(eta)
-    try:
-        return math.sqrt(math.cosh(eta) / 2.0)
-    except OverflowError:
-        raise eta_range_error(eta, "the marginal width sqrt(cosh(eta)/2)", COSH_ETA_MAX) from None
-
-
 def longitudinal_density(
     eta: float, variable: str = "z", grid: QuadratureGrid | None = None
 ) -> MarginalDistribution:
@@ -86,6 +81,8 @@ def longitudinal_density(
     (65, 129, 801, 1201) OpenBLAS may group a row's terms differently and the
     density can move in the last bit.
     """
+    from . import covariant
+
     if variable not in _VARIABLES:
         raise ValueError(f"variable must be one of {_VARIABLES}, got {variable!r}")
     g = grid if grid is not None else default_grid()
@@ -119,6 +116,8 @@ def lightcone_fraction(eta: float, band: float = 0.5, grid: QuadratureGrid | Non
     1201-node grid the result is the one the whole mesh gives on one BLAS
     thread; on other grids it can move in the last bit.
     """
+    from . import covariant
+
     g = grid if grid is not None else default_grid()
     check_resolution(eta, g)
     z, w = g.nodes[:, None], g.weights

@@ -7,6 +7,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from coupledosc import cli
@@ -299,6 +301,64 @@ class TestSweep:
             run(["sweep", "--start", "0", "--stop", "1", "--steps", "0", "--out", str(tmp_path / "s.csv")])
         assert exc.value.code == 2
 
+    def test_widest_finite_range_exits_1_without_warning(self, tmp_path, capsys):
+        # 3 * (max/3) overflows while the eta grid is built; only the overflowing purity is reported
+        out = tmp_path / "s.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["sweep", "--start=0", f"--stop={sys.float_info.max!r}", "--steps=4", f"--out={out}"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "coupledosc: error: |eta| = 5.99231e+307 overflows the purity 1/cosh(eta); "
+            "the usable range is |eta| <= 710.47\n"
+        )
+        assert not out.exists()
+
+
+class TestLinspace:
+    """cli._linspace builds the sweep's eta grid without numpy, bit for bit as np.linspace."""
+
+    @staticmethod
+    def assert_bits_equal(start, stop, steps):
+        ours = np.frombuffer(cli._linspace(start, stop, steps), dtype=float)
+        # at the widest ranges i * step overflows for the last i, whose value is then set to stop
+        with np.errstate(over="ignore"):
+            theirs = np.linspace(start, stop, steps)
+        assert np.array_equal(ours.view(np.int64), theirs.view(np.int64)), (start, stop, steps)
+
+    @pytest.mark.parametrize(
+        "start, stop, steps",
+        [
+            (-0.0, 0.0, 1),
+            # a step that underflows to 0 takes numpy's i / div * delta branch; at 5 steps
+            # the two branches differ, at 3 they happen to agree
+            (0.0, 5e-324, 3),
+            (0.0, 1e-323, 4),
+            (0.0, 1e-323, 5),
+            (0.0, -0.0, 3),
+            (1.5, 1.5, 7),
+            (-0.0, -0.0, 2),
+            (-1e308, 7e307, 4097),
+            (0.0, 1e308, 5),
+            (0.0, sys.float_info.max, 4),
+            (-1e308, -1e300, 3),
+            (0.0, 1.0, 2),
+            (-3.0, 2.5, 4097),
+            (0.99, 2.87, 10_001),
+        ],
+    )
+    def test_named_cases(self, start, stop, steps):
+        self.assert_bits_equal(start, stop, steps)
+
+    @given(
+        ends=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=2),
+        steps=st.integers(1, 5000),
+    )
+    def test_matches_numpy(self, ends, steps):
+        start, stop = sorted(ends)
+        assume(math.isfinite(stop - start))
+        self.assert_bits_equal(start, stop, steps)
+
 
 class TestHugeEta:
     """Beyond the float range of cosh/exp each command exits 1 naming the usable |eta| range."""
@@ -370,9 +430,9 @@ class TestTableCap:
 
     @pytest.mark.parametrize("command, at_cap", [("parton", 36), ("sweep", 36), ("boost", 6)])
     def test_boundary(self, command, at_cap, tmp_path, monkeypatch, capsys):
-        from coupledosc import numerics
+        from coupledosc import floats
 
-        monkeypatch.setattr(numerics, "MAX_TABLE_VALUES", 36)
+        monkeypatch.setattr(floats, "MAX_TABLE_VALUES", 36)
         assert run(self.argv(command, at_cap, tmp_path)) == 0
         assert run(self.argv(command, at_cap + 1, tmp_path)) == 1
         assert "exceeds the cap of 36" in capsys.readouterr().err

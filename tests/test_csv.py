@@ -255,7 +255,7 @@ def test_path_destination_is_utf8_with_lf(tmp_path):
 
 
 def test_only_the_renderer_formats_floats():
-    allowed = {("numerics.py", "_render"), ("cli.py", "_f")}
+    allowed = {("floats.py", "format_floats"), ("cli.py", "_f")}
     offenders = []
     for path in sorted(SRC.glob("*.py")):
         source = path.read_text(encoding="utf-8")
@@ -330,8 +330,8 @@ def test_sweep_csv():
 
 
 def test_long_sweep_keeps_the_scalar_closed_forms():
-    # 10,001 rows take the vector renderer. The closed forms stay one math call per
-    # eta: numpy's cosh, exp and log1p differ from math's in the last bit on some etas
+    # 10,001 rows, three of the sweep's 4096-row blocks. The closed forms stay one math call
+    # per eta: numpy's cosh, exp and log1p differ from math's in the last bit on some etas
     buf = io.StringIO()
     cli._write_sweep(buf, 0.99, 2.87, 10_001, 1.0)
     rows = []
@@ -341,6 +341,20 @@ def test_long_sweep_keeps_the_scalar_closed_forms():
         rows.append((eta, entanglement.purity(eta), entanglement.entropy(eta), temp, w, w))
     header = ("eta", "purity", "entropy", "T", "width_z", "width_qz")
     assert buf.getvalue().encode() == reference(header, rows)
+
+
+def test_sweep_memory_is_bounded():
+    # 100,001 rows: the five columns are 8-byte doubles (3.8 MiB) and the text is built a
+    # block at a time. The ceiling is the 6.3 MiB the sweep took through numpy columns and
+    # write_csv, rounded up; each column held as a list of Python floats would add 2.3 MiB
+    cli._write_sweep(os.devnull, -3.0, 3.0, 11, 1.0)
+    tracemalloc.start()
+    try:
+        cli._write_sweep(os.devnull, -3.0, 3.0, 100_001, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6.5 * 2**20
 
 
 def test_overlay_series_csv(tmp_path):

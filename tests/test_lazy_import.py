@@ -20,8 +20,10 @@ MAIN = (
 )
 
 
-def _python(*args):
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=ENV, timeout=60)
+def _python(*args, cwd=None):
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=ENV, timeout=60, cwd=cwd
+    )
 
 
 @pytest.mark.parametrize(
@@ -34,14 +36,40 @@ def _python(*args):
         pytest.param(["modes", "--m=1"], 2, id="missing-option"),
         pytest.param(["sweep", "--start=0", "--stop=1", "--steps=0", "--out=never.csv"], 2, id="zero-steps"),
         pytest.param(["frobnicate"], 2, id="unknown-command"),
+        pytest.param(["sweep", "--start=-1", "--stop=2", "--steps=5", "--out=s.csv"], 0, id="sweep"),
+        pytest.param(["sweep", "--start=-0.0", "--stop=0", "--steps=1", "--out=s.csv"], 0,
+                     id="sweep-signed-zero"),
+        pytest.param(["sweep", "--start=0", "--stop=5", "--steps=3", "--omega=1e308", "--out=s.csv"], 1,
+                     id="sweep-overflowing-temperature"),
+        pytest.param(["sweep", "--start=0", "--stop=720", "--steps=3", "--out=s.csv"], 1,
+                     id="sweep-huge-eta"),
+        pytest.param(["sweep", "--start=-1e308", "--stop=1e308", "--steps=3", "--out=s.csv"], 1,
+                     id="sweep-infinite-width"),
     ],
 )
-def test_runs_without_numpy(argv, code):
-    blocked = _python("-c", MAIN, "block", *argv)
-    normal = _python("-c", MAIN, "normal", *argv)
-    assert blocked.returncode == normal.returncode == code
-    assert (blocked.stdout, blocked.stderr) == (normal.stdout, normal.stderr)
-    assert "Traceback" not in blocked.stderr
+def test_runs_without_numpy(argv, code, tmp_path):
+    runs = {}
+    for mode in ("block", "normal"):
+        (tmp_path / mode).mkdir()
+        result = _python("-c", MAIN, mode, *argv, cwd=tmp_path / mode)
+        written = sorted((f.name, f.read_bytes()) for f in (tmp_path / mode).iterdir())
+        runs[mode] = (result.returncode, result.stdout, result.stderr, written)
+    assert runs["block"] == runs["normal"]
+    assert runs["block"][0] == code
+    assert "Traceback" not in runs["block"][2]
+
+
+def test_sweep_leaves_numpy_unloaded(tmp_path):
+    code = (
+        "import sys\n"
+        "from coupledosc.cli import main\n"
+        "assert main(['sweep', '--start=0', '--stop=1', '--steps=5', '--out=s.csv']) == 0\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    out = _python("-c", code, cwd=tmp_path)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["False"]
+    assert (tmp_path / "s.csv").read_text(encoding="utf-8").count("\n") == 6
 
 
 def test_numpy_commands_still_need_numpy():

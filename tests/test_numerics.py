@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from coupledosc import covariant, entanglement, numerics, oscillator, parton
+from coupledosc import covariant, entanglement, floats, numerics, oscillator, parton
 from coupledosc.numerics import (
     MAX_TABLE_VALUES,
     DensityKernel,
@@ -117,7 +117,7 @@ class TestHermite:
             call()
 
     def test_table_cap_boundary(self, monkeypatch):
-        monkeypatch.setattr(numerics, "MAX_TABLE_VALUES", 12)
+        monkeypatch.setattr(floats, "MAX_TABLE_VALUES", 12)
         assert hermite_basis(3, np.zeros(3)).shape == (4, 3)
         assert hermite_basis(11, np.zeros(1)).shape == (12, 1)
         assert hermite_fn(5, np.zeros(2)).shape == (2,)
