@@ -25,8 +25,10 @@ _SWEEP_BLOCK_ROWS = 4096
 
 
 def _f(x):
-    """Round-trip a float through %.15g so JSON and CSV agree on rendering."""
-    return float(f"{float(x):.15g}")
+    """Round-trip a float through format_floats so JSON and CSV agree on rendering."""
+    from .floats import format_floats
+
+    return float(format_floats((x,))[0])
 
 
 def _emit_json(payload: dict, out: str | None) -> None:
@@ -45,19 +47,8 @@ def cmd_modes(args) -> int:
 
     params = oscillator.CoupledParams(m=args.m, A=args.A, C=args.C)
     modes = oscillator.normal_modes(params)
-    _emit_json(
-        {
-            "m": _f(params.m),
-            "A": _f(params.A),
-            "C": _f(params.C),
-            "K": _f(modes.K),
-            "eta": _f(modes.eta),
-            "omega": _f(modes.omega),
-            "omega_plus": _f(modes.omega_plus),
-            "omega_minus": _f(modes.omega_minus),
-        },
-        args.out,
-    )
+    # the dataclasses' field order is the JSON key order
+    _emit_json({k: _f(v) for k, v in (vars(params) | vars(modes)).items()}, args.out)
     return 0
 
 
@@ -71,12 +62,7 @@ def cmd_entangle(args) -> int:
         raise ValueError(f"--kmax must be nonnegative, got {args.kmax}")
     exp_ = entanglement.schmidt_coefficients(args.eta, k_max=args.kmax)
     rs = entanglement.reduced_state(args.eta, k_max=args.kmax)
-    entanglement.check_omega(args.omega)
-    if args.eta == 0.0:
-        x_val, temp = None, 0.0
-    else:
-        tm = entanglement.effective_temperature(args.eta, omega=args.omega)
-        x_val, temp = _f(tm.x), _f(tm.temperature)
+    x, temperature = entanglement._thermal_map(args.eta, args.omega)
     _emit_json(
         {
             "eta": _f(args.eta),
@@ -87,8 +73,8 @@ def cmd_entangle(args) -> int:
             "tail": _f(rs.tail),
             "purity": _f(entanglement.purity(args.eta)),
             "entropy": _f(entanglement.entropy(args.eta)),
-            "x": x_val,
-            "T": temp,
+            "x": None if x is None else _f(x),
+            "T": _f(temperature),
         },
         args.out,
     )
@@ -167,9 +153,7 @@ def _write_sweep(dest, start: float, stop: float, steps: int, omega: float) -> N
     etas = _linspace(start, stop, steps)
 
     def temperature(eta):
-        if eta == 0.0:
-            return 0.0
-        return entanglement.effective_temperature(eta, omega=omega).temperature
+        return entanglement._thermal_map(eta, omega)[1]
 
     # column by column, as doubles: a value that fails raises before any file is opened
     columns = [etas] + [
@@ -209,14 +193,9 @@ def cmd_verify(args) -> int:
     print(f"overall: {'PASS' if report.overall_pass else 'FAIL'} ({n_pass}/{len(report.checks)} checks)")
     if args.out:
         _emit_json({
+            # CheckResult's field order is the JSON key order
             "checks": [
-                {
-                    "name": r.name,
-                    "passed": r.passed,
-                    "deviation": _f(r.deviation),
-                    "tolerance": _f(r.tolerance),
-                    "detail": r.detail,
-                }
+                vars(r) | {"deviation": _f(r.deviation), "tolerance": _f(r.tolerance)}
                 for r in report.checks
             ],
             "overall_pass": report.overall_pass,

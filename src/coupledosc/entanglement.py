@@ -209,17 +209,12 @@ def check_omega(omega) -> float:
     return omega
 
 
-def effective_temperature(eta: float, omega: float = 1.0) -> ThermalMap:
-    """Temperature at which the unobserved mode's ladder is exactly Boltzmann.
-
-    tanh^2(eta/2) = e^{-x} with x = hbar omega / kB T, so T = omega/x (units
-    hbar = kB = 1). eta = 0 is the zero-temperature limit (x -> infinity) and
-    is rejected explicitly rather than returning an infinity, as is an omega
-    so large that omega/x overflows.
-    """
-    eta, omega = check_eta(eta), check_omega(omega)
+def _thermal_map(eta: float, omega) -> tuple[float | None, float]:
+    """(x, T) at a checked eta, or (None, 0.0) at eta = 0, the zero-temperature limit;
+    ValueError for a bad omega, an x that underflows to zero or a T that overflows."""
+    omega = check_omega(omega)
     if eta == 0.0:
-        raise ValueError("eta = 0 is the zero-temperature limit; no finite x exists")
+        return None, 0.0
     x = 2.0 * _ln_coth_half(abs(eta))
     if x <= 0.0:
         raise ValueError(f"|eta| = {abs(eta):g} is too large: x underflows to zero")
@@ -230,7 +225,21 @@ def effective_temperature(eta: float, omega: float = 1.0) -> ThermalMap:
             f"T = omega/x overflows a float at |eta| = {abs(eta):g} (x = {x:.6g}); "
             f"omega must be at most {x * sys.float_info.max:.6g}, got {omega:g}"
         )
-    return ThermalMap(omega=omega, x=x, temperature=temperature)
+    return x, temperature
+
+
+def effective_temperature(eta: float, omega: float = 1.0) -> ThermalMap:
+    """Temperature at which the unobserved mode's ladder is exactly Boltzmann.
+
+    tanh^2(eta/2) = e^{-x} with x = hbar omega / kB T, so T = omega/x (units
+    hbar = kB = 1). eta = 0 is the zero-temperature limit (x -> infinity) and
+    is rejected explicitly rather than returning an infinity, as is an omega
+    so large that omega/x overflows.
+    """
+    x, temperature = _thermal_map(check_eta(eta), omega)
+    if x is None:
+        raise ValueError("eta = 0 is the zero-temperature limit; no finite x exists")
+    return ThermalMap(omega=float(omega), x=x, temperature=temperature)
 
 
 def thermal_entropy(x: float) -> float:

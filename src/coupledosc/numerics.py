@@ -19,7 +19,7 @@ and contracts one argument with the quadrature weights; all spectral claims
 (Schmidt coefficients, purity, entropy) are validated against it. Every
 array table the package writes goes through write_csv; its renderer and the
 sweep format floats with floats.format_floats. The eta and table-size guards
-live in floats, which needs no numpy, and are importable from here too.
+live in floats, which needs no numpy.
 
 The squeezed Gaussian has two routes. squeezed_gaussian, in x1 +- x2, serves
 oscillator.ground_state and the oracle; covariant.boosted_wavefunction writes
@@ -36,10 +36,7 @@ from typing import Callable
 import numpy as np
 
 from . import floats
-from .floats import (  # noqa: F401  (also importable from here)
-    COSH_ETA_MAX, EXP_ETA_MAX, MAX_TABLE_VALUES, EtaRangeError, check_eta, check_table_size,
-    eta_range_error, format_floats,
-)
+from .floats import EXP_ETA_MAX, check_eta, check_table_size, eta_range_error, format_floats
 
 DEFAULT_COUNT = 401
 DEFAULT_EXTENT = 8.0
@@ -88,10 +85,6 @@ class QuadratureGrid:
     weights: np.ndarray
     extent: float
     count: int
-
-    @property
-    def spacing(self) -> float:
-        return 2.0 * self.extent / (self.count - 1)
 
 
 def uniform_grid(count: int = DEFAULT_COUNT, extent: float = DEFAULT_EXTENT) -> QuadratureGrid:

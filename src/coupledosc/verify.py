@@ -110,21 +110,22 @@ def check_grid_gaussian_integral():
     return abs(val - 1.0)
 
 
+def _gram_deviation(k_max: int, grid) -> float:
+    """max |G - I|, G the quadrature Gram matrix of phi_0..phi_{k_max} on the grid."""
+    b = hermite_basis(k_max, grid.nodes)
+    gram = (b * grid.weights) @ b.T
+    return float(np.max(np.abs(gram - np.eye(k_max + 1))))
+
+
 @check(1e-8, "j,k <= 40 on extent 12 (the default box truncates phi_40 mid-support)")
 def check_hermite_orthonormality_wide():
     # phi_40 turns at x = 9, outside the default box; use one that contains it
-    g = uniform_grid(count=601, extent=12.0)
-    b = hermite_basis(40, g.nodes)
-    gram = (b * g.weights) @ b.T
-    return float(np.max(np.abs(gram - np.eye(41))))
+    return _gram_deviation(40, uniform_grid(count=601, extent=12.0))
 
 
 @check(1e-8, "j,k <= 12 fit the default box")
 def check_hermite_orthonormality_default():
-    g = default_grid()
-    b = hermite_basis(12, g.nodes)
-    gram = (b * g.weights) @ b.T
-    return float(np.max(np.abs(gram - np.eye(13))))
+    return _gram_deviation(12, default_grid())
 
 
 @check(1e-8, "norm of phi_128 via recurrence")

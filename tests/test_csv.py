@@ -255,7 +255,7 @@ def test_path_destination_is_utf8_with_lf(tmp_path):
 
 
 def test_only_the_renderer_formats_floats():
-    allowed = {("floats.py", "format_floats"), ("cli.py", "_f")}
+    allowed = {("floats.py", "format_floats")}
     offenders = []
     for path in sorted(SRC.glob("*.py")):
         source = path.read_text(encoding="utf-8")

@@ -5,10 +5,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from coupledosc import covariant, entanglement, floats, numerics, oscillator, parton
+from coupledosc.floats import MAX_TABLE_VALUES, EtaRangeError
 from coupledosc.numerics import (
-    MAX_TABLE_VALUES,
     DensityKernel,
-    EtaRangeError,
     GridResolutionError,
     blocks,
     check_resolution,
