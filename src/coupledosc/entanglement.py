@@ -203,7 +203,10 @@ def width(eta: float) -> float:
 
 def check_omega(omega) -> float:
     """omega as a float; ValueError unless it is finite and positive."""
-    omega = float(omega)
+    try:
+        omega = float(omega)
+    except OverflowError:  # an int past the float range
+        omega = math.inf
     if not math.isfinite(omega) or omega <= 0.0:
         raise ValueError(f"omega must be positive, got {omega}")
     return omega
@@ -211,7 +214,8 @@ def check_omega(omega) -> float:
 
 def _thermal_map(eta: float, omega) -> tuple[float | None, float]:
     """(x, T) at a checked eta, or (None, 0.0) at eta = 0, the zero-temperature limit;
-    ValueError for a bad omega, an x that underflows to zero or a T that overflows."""
+    ValueError for a bad omega, an x that underflows to zero or a T that overflows
+    a float or underflows to zero."""
     omega = check_omega(omega)
     if eta == 0.0:
         return None, 0.0
@@ -225,6 +229,12 @@ def _thermal_map(eta: float, omega) -> tuple[float | None, float]:
             f"T = omega/x overflows a float at |eta| = {abs(eta):g} (x = {x:.6g}); "
             f"omega must be at most {x * sys.float_info.max:.6g}, got {omega:g}"
         )
+    if temperature == 0.0:
+        # here x > 2, and omega = x times the smallest subnormal gives T >= that subnormal
+        raise ValueError(
+            f"T = omega/x underflows to zero at |eta| = {abs(eta):g} (x = {x:.6g}); "
+            f"omega must be at least {x * math.ulp(0.0):.6g}, got {omega:g}"
+        )
     return x, temperature
 
 
@@ -234,7 +244,7 @@ def effective_temperature(eta: float, omega: float = 1.0) -> ThermalMap:
     tanh^2(eta/2) = e^{-x} with x = hbar omega / kB T, so T = omega/x (units
     hbar = kB = 1). eta = 0 is the zero-temperature limit (x -> infinity) and
     is rejected explicitly rather than returning an infinity, as is an omega
-    so large that omega/x overflows.
+    so large that omega/x overflows or so small that it underflows to zero.
     """
     x, temperature = _thermal_map(check_eta(eta), omega)
     if x is None:

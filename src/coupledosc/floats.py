@@ -23,7 +23,10 @@ class EtaRangeError(ValueError):
 
 def check_eta(eta) -> float:
     """eta as a float; ValueError unless it is finite."""
-    eta = float(eta)
+    try:
+        eta = float(eta)
+    except OverflowError:  # an int past the float range
+        eta = math.inf
     if not math.isfinite(eta):
         raise ValueError("eta must be finite")
     return eta

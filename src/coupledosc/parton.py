@@ -118,6 +118,8 @@ def lightcone_fraction(eta: float, band: float = 0.5, grid: QuadratureGrid | Non
     """
     from . import covariant
 
+    if not band >= 0.0:
+        raise ValueError(f"band must be nonnegative, got {band}")
     g = grid if grid is not None else default_grid()
     check_resolution(eta, g)
     z, w = g.nodes[:, None], g.weights

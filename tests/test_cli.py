@@ -14,6 +14,13 @@ from numpy.testing import assert_allclose
 from coupledosc import cli
 
 
+# the one error line of an omega so small that T = omega/x rounds to zero at eta = 0.5
+UNDERFLOW_ERROR = (
+    "coupledosc: error: T = omega/x underflows to zero at |eta| = 0.5 (x = 2.81366); "
+    "omega must be at least 1.4822e-323, got 4.94066e-324\n"
+)
+
+
 def run(argv):
     return cli.main(argv)
 
@@ -104,6 +111,10 @@ class TestEntangle:
         out, err = capsys.readouterr()
         assert out == ""
         assert "omega must be at most 4.84518e+306" in err
+
+    def test_underflowing_temperature_exits_1(self, capsys):
+        assert run(["entangle", "--eta=0.5", "--omega=5e-324"]) == 1
+        assert capsys.readouterr() == ("", UNDERFLOW_ERROR)
 
     @pytest.mark.parametrize("omega", ["-1", "0", "nan", "inf"])
     def test_bad_omega_at_zero_squeeze_exits_1(self, omega, capsys):
@@ -263,6 +274,12 @@ class TestSweep:
         out = tmp_path / "s.csv"
         assert run(["sweep", "--start=0", "--stop=5", "--steps=3", "--omega=1e308", f"--out={out}"]) == 1
         assert "T = omega/x overflows a float" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_underflowing_temperature_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        assert run(["sweep", "--start=0.5", "--stop=1", "--steps=3", "--omega=5e-324", f"--out={out}"]) == 1
+        assert capsys.readouterr().err == UNDERFLOW_ERROR
         assert not out.exists()
 
     @pytest.mark.parametrize("omega", ["-1", "nan"])
@@ -473,6 +490,79 @@ def test_cli_import_leaves_verify_unloaded():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     assert out.stdout.strip() == "['coupledosc', 'coupledosc.cli']"
+
+
+# --- exact JSON text ------------------------------------------------------------
+
+# stdout byte for byte: key order, %.15g values, null x at eta = 0, indent and final LF
+PINNED_STDOUT = {
+    "modes": (
+        ["modes", "--m=1", "--A=5", "--C=-3"],
+        '{\n'
+        '  "m": 1.0,\n'
+        '  "A": 5.0,\n'
+        '  "C": -3.0,\n'
+        '  "K": 4.0,\n'
+        '  "eta": 0.346573590279973,\n'
+        '  "omega": 2.0,\n'
+        '  "omega_plus": 2.82842712474619,\n'
+        '  "omega_minus": 1.4142135623731\n'
+        '}\n'
+    ),
+    "entangle-zero": (
+        ["entangle", "--eta=0", "--kmax=2"],
+        '{\n'
+        '  "eta": 0.0,\n'
+        '  "k_max": 2,\n'
+        '  "omega": 1.0,\n'
+        '  "coeffs": [\n'
+        '    1.0,\n'
+        '    0.0,\n'
+        '    0.0\n'
+        '  ],\n'
+        '  "eigenvalues": [\n'
+        '    1.0,\n'
+        '    0.0,\n'
+        '    0.0\n'
+        '  ],\n'
+        '  "tail": 0.0,\n'
+        '  "purity": 1.0,\n'
+        '  "entropy": 0.0,\n'
+        '  "x": null,\n'
+        '  "T": 0.0\n'
+        '}\n'
+    ),
+    "entangle-one": (
+        ["entangle", "--eta=1", "--kmax=2", "--omega=2"],
+        '{\n'
+        '  "eta": 1.0,\n'
+        '  "k_max": 2,\n'
+        '  "omega": 2.0,\n'
+        '  "coeffs": [\n'
+        '    0.886818883970074,\n'
+        '    0.409814221664745,\n'
+        '    0.189382183120435\n'
+        '  ],\n'
+        '  "eigenvalues": [\n'
+        '    0.786447732965928,\n'
+        '    0.167947696278681,\n'
+        '    0.0358656112834621\n'
+        '  ],\n'
+        '  "tail": 0.00973895947192969,\n'
+        '  "purity": 0.648054273663885,\n'
+        '  "entropy": 0.659452959168037,\n'
+        '  "x": 1.54387366581061,\n'
+        '  "T": 1.29544278414122\n'
+        '}\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_STDOUT))
+def test_json_stdout_is_pinned(name, capsys):
+    argv, text = PINNED_STDOUT[name]
+    assert run(argv) == 0
+    assert capsys.readouterr() == (text, "")
 
 
 class TestUsage:

@@ -182,6 +182,13 @@ class TestThermalMap:
             effective_temperature(5.0, omega=1e308)
         assert math.isfinite(effective_temperature(5.0, omega=limit * (1 - 1e-15)).temperature)
 
+    def test_temperature_underflow_names_the_limit(self):
+        x = effective_temperature(0.5).x
+        limit = x * math.ulp(0.0)
+        with pytest.raises(ValueError, match=r"omega must be at least 1\.4822e-323, got 4\.94066e-324"):
+            effective_temperature(0.5, omega=5e-324)
+        assert effective_temperature(0.5, omega=limit).temperature > 0.0
+
     def test_survives_extreme_squeeze(self):
         # tanh(eta/2) rounds to 1 here; the log1p route must keep x > 0
         tm = effective_temperature(99.0)

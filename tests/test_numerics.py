@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -93,6 +94,26 @@ class TestHermite:
     def test_rejects_bad_order(self, bad):
         with pytest.raises(ValueError):
             hermite_fn(bad, 0.0)
+
+    def test_huge_arguments_keep_the_recurrence_bits(self):
+        # the recurrence as written, overflows and all: where it gives a number, hermite_basis
+        # gives the same bits, signed zeros included, and warns of nothing
+        x = np.array([38.0, -38.0, 1e154, -1e154, 1e308, -1e308, 1.5e308, -1.5e308])
+        ref = np.empty((129, x.size))
+        with np.errstate(all="ignore"):
+            ref[0] = np.pi ** -0.25 * np.exp(-0.5 * x * x)
+            ref[1] = np.sqrt(2.0) * x * ref[0]
+            for j in range(1, 128):
+                ref[j + 1] = x * np.sqrt(2.0 / (j + 1)) * ref[j] - np.sqrt(j / (j + 1.0)) * ref[j - 1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = hermite_basis(128, x)
+        kept = ~np.isnan(ref)
+        assert np.array_equal(got.view(np.int64)[kept], ref.view(np.int64)[kept])
+        # sqrt(2) x overflows at 1.5e308 and inf * 0 was NaN; it now reads as 1e308 does
+        assert not kept[:, 6:].all()
+        assert np.array_equal(got[:, 6:].view(np.int64), got[:, 4:6].view(np.int64))
+        assert hermite_fn(1, 1.5e308) == 0.0
 
     def test_rejects_nonfinite_argument(self):
         with pytest.raises(ValueError):
@@ -262,6 +283,13 @@ class TestEtaRange:
             (lambda e: parton.model_density(e, [0.0, 1.0]), math.inf, ValueError),
             (lambda e: parton.model_density(e, [0.0, 1.0]), math.nan, ValueError),
             (parton.lightcone_fraction, -math.inf, ValueError),
+            # an int past the float range is not finite either
+            pytest.param(floats.check_eta, 10**400, ValueError, id="check_eta-10**400"),
+            pytest.param(entanglement.check_omega, 10**400, ValueError, id="check_omega-10**400"),
+            pytest.param(lambda b: parton.lightcone_fraction(0.5, band=b), math.nan, ValueError,
+                         id="lightcone_fraction-band-nan"),
+            pytest.param(lambda b: parton.lightcone_fraction(0.5, band=b), -1.0, ValueError,
+                         id="lightcone_fraction-band--1.0"),
         ],
     )
     def test_public_functions_reject_cleanly(self, call, eta, error):
