@@ -206,7 +206,7 @@ def check_omega(omega) -> float:
     try:
         omega = float(omega)
     except OverflowError:  # an int past the float range
-        omega = math.inf
+        omega = math.inf if omega > 0 else -math.inf
     if not math.isfinite(omega) or omega <= 0.0:
         raise ValueError(f"omega must be positive, got {omega}")
     return omega

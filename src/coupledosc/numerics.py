@@ -147,8 +147,10 @@ def hermite_basis(k_max: int, x: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(xa)):
         raise ValueError("hermite_basis requires finite arguments")
     # past |x| ~ 38.6 phi_0 underflows to 0, and every row is a signed zero set by the sign of
-    # x alone; clipping at 1e154 keeps x * x and sqrt(2) x finite, so no inf * 0 makes a NaN
-    xa = np.clip(xa, -1e154, 1e154)
+    # x alone; clipping at 1e154 keeps x * x and sqrt(2) x finite, so no inf * 0 makes a NaN.
+    # Only a call that has such an x pays for the clipped copy.
+    if xa.size and max(-xa.min(), xa.max()) > 1e154:
+        xa = np.clip(xa, -1e154, 1e154)
     out = np.empty((k_max + 1, xa.size))
     out[0] = np.pi ** -0.25 * np.exp(-0.5 * xa * xa)
     if k_max >= 1:

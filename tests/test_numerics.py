@@ -286,6 +286,7 @@ class TestEtaRange:
             # an int past the float range is not finite either
             pytest.param(floats.check_eta, 10**400, ValueError, id="check_eta-10**400"),
             pytest.param(entanglement.check_omega, 10**400, ValueError, id="check_omega-10**400"),
+            pytest.param(entanglement.check_omega, -10**400, ValueError, id="check_omega--10**400"),
             pytest.param(lambda b: parton.lightcone_fraction(0.5, band=b), math.nan, ValueError,
                          id="lightcone_fraction-band-nan"),
             pytest.param(lambda b: parton.lightcone_fraction(0.5, band=b), -1.0, ValueError,
