@@ -36,7 +36,7 @@ import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .floats import COSH_ETA_MAX, EXP_ETA_MAX, check_eta, eta_range_error
+from .floats import COSH_ETA_MAX, EXP_ETA_MAX, check_eta
 
 if TYPE_CHECKING:
     import numpy as np
@@ -121,13 +121,10 @@ def schmidt_coefficients(eta: float, k_max: int = 64) -> FockExpansion:
     """Schmidt coefficients c_k = tanh^k(eta/2)/cosh(eta/2) up to k_max."""
     import numpy as np
 
-    eta = check_eta(eta)
+    eta = check_eta(eta, 2.0 * COSH_ETA_MAX, "the Schmidt coefficients")
     _check_k_max(k_max)
     t = math.tanh(eta / 2.0)
-    try:
-        coeffs = t ** np.arange(k_max + 1) / math.cosh(eta / 2.0)
-    except OverflowError:
-        raise eta_range_error(eta, "the Schmidt coefficients", 2.0 * COSH_ETA_MAX) from None
+    coeffs = t ** np.arange(k_max + 1) / math.cosh(eta / 2.0)
     coeffs.flags.writeable = False
     tail = math.tanh(abs(eta) / 2.0) ** (2 * (k_max + 1))
     return FockExpansion(eta=eta, k_max=int(k_max), coefficients=coeffs, tail=tail)
@@ -137,25 +134,18 @@ def reduced_state(eta: float, k_max: int = 64) -> ReducedState:
     """Eigenvalues p_k of the reduced density, a geometric distribution in k."""
     import numpy as np
 
-    eta = check_eta(eta)
+    # cosh^2(eta/2) ~ e^{|eta|}/4
+    eta = check_eta(eta, EXP_ETA_MAX + math.log(4.0), "the eigenvalues p_k")
     _check_k_max(k_max)
     t2 = math.tanh(abs(eta) / 2.0) ** 2
-    try:
-        p = t2 ** np.arange(k_max + 1) / math.cosh(eta / 2.0) ** 2
-    except OverflowError:
-        # cosh^2(eta/2) ~ e^{|eta|}/4
-        raise eta_range_error(eta, "the eigenvalues p_k", EXP_ETA_MAX + math.log(4.0)) from None
+    p = t2 ** np.arange(k_max + 1) / math.cosh(eta / 2.0) ** 2
     p.flags.writeable = False
     return ReducedState(eta=eta, k_max=int(k_max), eigenvalues=p, tail=t2 ** (k_max + 1))
 
 
 def purity(eta: float) -> float:
     """Tr rho^2 = 1/cosh(eta): 1 iff uncoupled, decays to 0 as |eta| grows."""
-    eta = check_eta(eta)
-    try:
-        return 1.0 / math.cosh(eta)
-    except OverflowError:
-        raise eta_range_error(eta, "the purity 1/cosh(eta)", COSH_ETA_MAX) from None
+    return 1.0 / math.cosh(check_eta(eta, COSH_ETA_MAX, "the purity 1/cosh(eta)"))
 
 
 def purity_series(eta: float, k_max: int = 64) -> float:
@@ -194,11 +184,8 @@ def entropy(eta: float) -> float:
 def width(eta: float) -> float:
     """sqrt(nu), nu = cosh(eta)/2: the reduced state's quadrature width, which is the
     standard deviation of either longitudinal marginal of the boosted state."""
-    eta = check_eta(eta)
-    try:
-        return math.sqrt(math.cosh(eta) / 2.0)
-    except OverflowError:
-        raise eta_range_error(eta, "the marginal width sqrt(cosh(eta)/2)", COSH_ETA_MAX) from None
+    eta = check_eta(eta, COSH_ETA_MAX, "the marginal width sqrt(cosh(eta)/2)")
+    return math.sqrt(math.cosh(eta) / 2.0)
 
 
 def check_omega(omega) -> float:

@@ -21,14 +21,18 @@ class EtaRangeError(ValueError):
     """Raised when eta is finite but a closed form overflows a float there."""
 
 
-def check_eta(eta) -> float:
-    """eta as a float; ValueError unless it is finite."""
+def check_eta(eta, limit: float = math.inf, form: str = "") -> float:
+    """eta as a float; ValueError unless it is finite, and EtaRangeError when |eta| is past
+    ``limit``, the |eta| beyond which the closed form ``form`` overflows a float."""
     try:
         eta = float(eta)
     except OverflowError:  # an int past the float range
         eta = math.inf
     if not math.isfinite(eta):
         raise ValueError("eta must be finite")
+    if abs(eta) > limit:
+        usable = math.floor(limit * 100.0) / 100.0
+        raise EtaRangeError(f"|eta| = {abs(eta):g} overflows {form}; the usable range is |eta| <= {usable:g}")
     return eta
 
 
@@ -39,12 +43,6 @@ def check_table_size(values: int, table: str, remedy: str) -> None:
     """
     if values > MAX_TABLE_VALUES:
         raise ValueError(f"{table} ({values} values) exceeds the cap of {MAX_TABLE_VALUES}; {remedy}")
-
-
-def eta_range_error(eta: float, form: str, limit: float) -> EtaRangeError:
-    """The error for an eta at which ``form`` overflows, as it does beyond |eta| = ``limit``."""
-    usable = math.floor(limit * 100.0) / 100.0
-    return EtaRangeError(f"|eta| = {abs(eta):g} overflows {form}; the usable range is |eta| <= {usable:g}")
 
 
 def format_floats(values) -> list[str]:

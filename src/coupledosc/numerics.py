@@ -36,7 +36,7 @@ from typing import Callable
 import numpy as np
 
 from . import floats
-from .floats import EXP_ETA_MAX, check_eta, check_table_size, eta_range_error, format_floats
+from .floats import EXP_ETA_MAX, check_eta, check_table_size, format_floats
 
 DEFAULT_COUNT = 401
 DEFAULT_EXTENT = 8.0
@@ -220,9 +220,7 @@ class DensityKernel:
 
 def squeezed_gaussian(x1, x2, eta: float):
     """psi_eta(x1, x2) = (1/sqrt pi) exp{-1/4 [e^{-eta}(x1+x2)^2 + e^{eta}(x1-x2)^2]}, vectorized."""
-    eta = check_eta(eta)
-    if abs(eta) > EXP_ETA_MAX:
-        raise eta_range_error(eta, "psi_eta", EXP_ETA_MAX)
+    eta = check_eta(eta, EXP_ETA_MAX, "psi_eta")
     x1a = np.asarray(x1, dtype=float)
     x2a = np.asarray(x2, dtype=float)
     em, ep = np.exp(-eta), np.exp(eta)
@@ -235,9 +233,7 @@ def squeezed_gaussian(x1, x2, eta: float):
 def check_resolution(eta: float, grid: QuadratureGrid) -> float:
     """eta as a float; GridResolutionError unless the widest principal-axis standard
     deviation of |psi_eta|^2, sqrt(e^{|eta|}/2), is at most extent/4."""
-    eta = check_eta(eta)
-    if abs(eta) > EXP_ETA_MAX:
-        raise eta_range_error(eta, "the state width sqrt(e^|eta|/2)", EXP_ETA_MAX)
+    eta = check_eta(eta, EXP_ETA_MAX, "the state width sqrt(e^|eta|/2)")
     sigma_max = math.sqrt(math.exp(abs(eta)) / 2.0)
     if sigma_max > grid.extent / 4.0:
         raise GridResolutionError(

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entanglement import width
-from .floats import COSH_ETA_MAX, check_eta, check_table_size, eta_range_error
+from .floats import COSH_ETA_MAX, check_eta, check_table_size
 from .numerics import MESH_BLOCK_ROWS, QuadratureGrid, blocks, check_resolution, default_grid, write_csv
 
 _VARIABLES = ("z", "qz")
@@ -135,10 +135,7 @@ def lightcone_fraction(eta: float, band: float = 0.5, grid: QuadratureGrid | Non
 
 def model_density(eta: float, coords) -> np.ndarray:
     """Closed-form normalized marginal exp(-x^2/cosh eta)/sqrt(pi cosh eta)."""
-    try:
-        c = math.cosh(check_eta(eta))
-    except OverflowError:
-        raise eta_range_error(eta, "the closed-form marginal density", COSH_ETA_MAX) from None
+    c = math.cosh(check_eta(eta, COSH_ETA_MAX, "the closed-form marginal density"))
     xa = np.asarray(coords, dtype=float)
     # a square that overflows to inf gives exp(-inf) = 0, the right value
     with np.errstate(over="ignore"):
