@@ -36,7 +36,7 @@ import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .floats import COSH_ETA_MAX, EXP_ETA_MAX, check_eta
+from .floats import COSH_ETA_MAX, EXP_ETA_MAX, as_float, check_eta
 
 if TYPE_CHECKING:
     import numpy as np
@@ -190,10 +190,7 @@ def width(eta: float) -> float:
 
 def check_omega(omega) -> float:
     """omega as a float; ValueError unless it is finite and positive."""
-    try:
-        omega = float(omega)
-    except OverflowError:  # an int past the float range
-        omega = math.inf if omega > 0 else -math.inf
+    omega = as_float(omega)
     if not math.isfinite(omega) or omega <= 0.0:
         raise ValueError(f"omega must be positive, got {omega}")
     return omega
@@ -245,7 +242,7 @@ def thermal_entropy(x: float) -> float:
     S(x) = x/(e^x - 1) - ln(1 - e^{-x}); diverges as x -> 0+, vanishes as
     x -> infinity. Composing with the map above reproduces entropy(eta) exactly.
     """
-    x = float(x)
+    x = as_float(x)
     if math.isnan(x) or x <= 0.0:
         raise ValueError(f"x must be positive, got {x}")
     if x >= 700.0:

@@ -21,13 +21,18 @@ class EtaRangeError(ValueError):
     """Raised when eta is finite but a closed form overflows a float there."""
 
 
+def as_float(x) -> float:
+    """float(x) for a number from outside, with an int past the float range read as +-inf."""
+    try:
+        return float(x)
+    except OverflowError:  # an int past the float range
+        return math.inf if x > 0 else -math.inf
+
+
 def check_eta(eta, limit: float = math.inf, form: str = "") -> float:
     """eta as a float; ValueError unless it is finite, and EtaRangeError when |eta| is past
     ``limit``, the |eta| beyond which the closed form ``form`` overflows a float."""
-    try:
-        eta = float(eta)
-    except OverflowError:  # an int past the float range
-        eta = math.inf
+    eta = as_float(eta)
     if not math.isfinite(eta):
         raise ValueError("eta must be finite")
     if abs(eta) > limit:

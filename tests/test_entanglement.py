@@ -221,6 +221,11 @@ class TestThermalEntropy:
         with pytest.raises(ValueError):
             thermal_entropy(bad)
 
+    def test_int_past_the_float_range_reads_as_infinity(self):
+        assert thermal_entropy(10**400) == 0.0
+        with pytest.raises(ValueError, match=r"^x must be positive, got -inf$"):
+            thermal_entropy(-10**400)
+
 
 def _small_eta_reference(eta):
     """x = -2 ln tanh h and S = 2(sinh^2 h ln coth h + ln cosh h), h = eta/2, at 60 digits.
