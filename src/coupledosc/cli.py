@@ -62,7 +62,7 @@ def cmd_entangle(args) -> int:
         raise ValueError(f"--kmax must be nonnegative, got {args.kmax}")
     exp_ = entanglement.schmidt_coefficients(args.eta, k_max=args.kmax)
     rs = entanglement.reduced_state(args.eta, k_max=args.kmax)
-    x, temperature = entanglement._thermal_map(args.eta, args.omega)
+    x, temperature = entanglement._thermal_map(args.eta, entanglement.check_omega(args.omega))
     _emit_json(
         {
             "eta": _f(args.eta),
@@ -149,7 +149,7 @@ def _write_sweep(dest, start: float, stop: float, steps: int, omega: float) -> N
         raise ValueError(
             f"the sweep range {start:g} to {stop:g} has no finite width; use a narrower range"
         )
-    entanglement.check_omega(omega)
+    omega = entanglement.check_omega(omega)
     etas = _linspace(start, stop, steps)
 
     def temperature(eta):

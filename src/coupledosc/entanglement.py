@@ -196,11 +196,10 @@ def check_omega(omega) -> float:
     return omega
 
 
-def _thermal_map(eta: float, omega) -> tuple[float | None, float]:
-    """(x, T) at a checked eta, or (None, 0.0) at eta = 0, the zero-temperature limit;
-    ValueError for a bad omega, an x that underflows to zero or a T that overflows
-    a float or underflows to zero."""
-    omega = check_omega(omega)
+def _thermal_map(eta: float, omega: float) -> tuple[float | None, float]:
+    """(x, T) at a checked eta and omega, or (None, 0.0) at eta = 0, the zero-temperature
+    limit; ValueError for an x that underflows to zero or a T that overflows a float or
+    underflows to zero."""
     if eta == 0.0:
         return None, 0.0
     x = 2.0 * _ln_coth_half(abs(eta))
@@ -230,7 +229,7 @@ def effective_temperature(eta: float, omega: float = 1.0) -> ThermalMap:
     is rejected explicitly rather than returning an infinity, as is an omega
     so large that omega/x overflows or so small that it underflows to zero.
     """
-    x, temperature = _thermal_map(check_eta(eta), omega)
+    x, temperature = _thermal_map(check_eta(eta), check_omega(omega))
     if x is None:
         raise ValueError("eta = 0 is the zero-temperature limit; no finite x exists")
     return ThermalMap(omega=float(omega), x=x, temperature=temperature)

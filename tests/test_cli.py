@@ -282,6 +282,15 @@ class TestSweep:
         assert capsys.readouterr().err == UNDERFLOW_ERROR
         assert not out.exists()
 
+    def test_omega_is_checked_once_per_sweep(self, tmp_path, monkeypatch):
+        from coupledosc import entanglement
+
+        calls = []
+        check = entanglement.check_omega
+        monkeypatch.setattr(entanglement, "check_omega", lambda omega: calls.append(omega) or check(omega))
+        assert run(["sweep", "--start=0", "--stop=3", "--steps=13", f"--out={tmp_path / 's.csv'}"]) == 0
+        assert calls == [1.0]
+
     @pytest.mark.parametrize("omega", ["-1", "nan"])
     def test_bad_omega_at_zero_squeeze_exits_1(self, omega, tmp_path, capsys):
         out = tmp_path / "s.csv"
