@@ -76,6 +76,11 @@ def check(tolerance: float, detail: str = ""):
     return register
 
 
+def _max_abs(a, b) -> float:
+    """max |a - b| over the broadcast arrays: a table's deviation from its reference."""
+    return float(np.max(np.abs(a - b)))
+
+
 _KERNELS: dict = {}
 
 
@@ -114,7 +119,7 @@ def _gram_deviation(k_max: int, grid) -> float:
     """max |G - I|, G the quadrature Gram matrix of phi_0..phi_{k_max} on the grid."""
     b = hermite_basis(k_max, grid.nodes)
     gram = (b * grid.weights) @ b.T
-    return float(np.max(np.abs(gram - np.eye(k_max + 1))))
+    return _max_abs(gram, np.eye(k_max + 1))
 
 
 @check(1e-8, "j,k <= 40 on extent 12 (the default box truncates phi_40 mid-support)")
@@ -151,7 +156,7 @@ def check_pure_state_idempotency():
     psi = (hermite_fn(0, g.nodes) + hermite_fn(1, g.nodes)) / math.sqrt(2.0)
     k = np.outer(psi, psi)
     k2 = (k * g.weights) @ k
-    return float(np.max(np.abs(k2 - k)))
+    return _max_abs(k2, k)
 
 
 # --- oscillator -------------------------------------------------------------
@@ -209,7 +214,7 @@ def check_separability_zero_coupling():
     x = np.linspace(-3, 3, 20)
     x1, x2 = x[:, None], x[None, :]
     product = hermite_fn(0, x1) * hermite_fn(0, x2)
-    return float(np.max(np.abs(oscillator.ground_state(x1, x2, 0.0) - product)))
+    return _max_abs(oscillator.ground_state(x1, x2, 0.0), product)
 
 
 # --- entanglement -----------------------------------------------------------
@@ -333,10 +338,7 @@ def check_schmidt_reconstruction():
     dev = 0.0
     for e in (0.5, 1.0, 2.0):
         exp_ = entanglement.schmidt_coefficients(e, k_max=40)
-        dev = max(
-            dev,
-            float(np.max(np.abs(exp_.reconstruct(x1, x2) - oscillator.ground_state(x1, x2, e)))),
-        )
+        dev = max(dev, _max_abs(exp_.reconstruct(x1, x2), oscillator.ground_state(x1, x2, e)))
     return dev
 
 
@@ -350,7 +352,7 @@ def check_schmidt_truncation_tail_identity():
     exp200 = entanglement.schmidt_coefficients(2.0, k_max=200)
     b = hermite_basis(200, x)[41:]
     tail = np.abs((exp200.coefficients[41:, None, None] * b[:, :, None] * b[:, None, :]).sum(axis=0))
-    return float(np.max(np.abs(err - tail)))
+    return _max_abs(err, tail)
 
 
 # --- covariant --------------------------------------------------------------
@@ -420,14 +422,7 @@ def check_squeeze_reciprocity():
     x = np.linspace(-3, 3, 20)
     z, t = x[:, None], x[None, :]
     return max(
-        float(
-            np.max(
-                np.abs(
-                    covariant.boosted_wavefunction(z, t, e)
-                    - covariant.boosted_wavefunction(z, -t, -e)
-                )
-            )
-        )
+        _max_abs(covariant.boosted_wavefunction(z, t, e), covariant.boosted_wavefunction(z, -t, -e))
         for e in (0.7, 1.8)
     )
 
@@ -437,11 +432,7 @@ def check_cross_module_identity():
     x = np.linspace(-3, 3, 20)
     a, b = x[:, None], x[None, :]
     return max(
-        float(
-            np.max(
-                np.abs(oscillator.ground_state(a, b, e) - covariant.boosted_wavefunction(a, b, e))
-            )
-        )
+        _max_abs(oscillator.ground_state(a, b, e), covariant.boosted_wavefunction(a, b, e))
         for e in (0.0, 0.7, 1.5)
     )
 
