@@ -106,6 +106,10 @@ class TestEntangle:
         )
         assert not out.exists()
 
+    def test_negative_kmax_exits_1(self, capsys):
+        assert run(["entangle", "--eta=1", "--kmax=-1"]) == 1
+        assert capsys.readouterr() == ("", "coupledosc: error: --kmax must be nonnegative, got -1\n")
+
     def test_overflowing_temperature_exits_1(self, capsys):
         assert run(["entangle", "--eta=5", "--omega=1e308"]) == 1
         out, err = capsys.readouterr()
@@ -398,6 +402,8 @@ class TestHugeEta:
             (["parton", "--eta=800"], "710.47"),
             (["parton", "--eta=-720", "--overlay"], "710.47"),
             (["boost", "--eta=800", "--grid=3"], "709.78"),
+            # the eta fault is named before the k_max fault
+            (["entangle", "--eta=1500", "--kmax=200000"], "1420.95"),
         ],
     )
     def test_exits_1_with_range(self, argv, limit, tmp_path, capsys):

@@ -291,11 +291,61 @@ class TestEtaRange:
                          id="lightcone_fraction-band-nan"),
             pytest.param(lambda b: parton.lightcone_fraction(0.5, band=b), -1.0, ValueError,
                          id="lightcone_fraction-band--1.0"),
+            # an eta fault is reported before a k_max fault
+            pytest.param(lambda e: entanglement.schmidt_coefficients(e, k_max=200000), 1500.0,
+                         EtaRangeError, id="schmidt_coefficients-eta-before-k_max"),
         ],
     )
     def test_public_functions_reject_cleanly(self, call, eta, error):
         with pytest.raises(error):
             call(eta)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize(
+        "call, limit, message",
+        [
+            pytest.param(lambda e: numerics.squeezed_gaussian(0.5, 0.25, e), floats.EXP_ETA_MAX,
+                         "|eta| = 709.783 overflows psi_eta; the usable range is |eta| <= 709.78",
+                         id="squeezed_gaussian"),
+            pytest.param(lambda e: check_resolution(e, uniform_grid(3, 1e200)), floats.EXP_ETA_MAX,
+                         "|eta| = 709.783 overflows the state width sqrt(e^|eta|/2); "
+                         "the usable range is |eta| <= 709.78",
+                         id="check_resolution"),
+            pytest.param(lambda e: covariant.boosted_wavefunction(0.5, 0.25, e), floats.EXP_ETA_MAX,
+                         "|eta| = 709.783 overflows psi_eta; the usable range is |eta| <= 709.78",
+                         id="boosted_wavefunction"),
+            pytest.param(covariant.boost_matrix, 2.0 * floats.COSH_ETA_MAX,
+                         "|eta| = 1420.95 overflows the boost matrix cosh(eta/2); "
+                         "the usable range is |eta| <= 1420.95",
+                         id="boost_matrix"),
+            pytest.param(lambda e: entanglement.schmidt_coefficients(e, 4).coefficients,
+                         2.0 * floats.COSH_ETA_MAX,
+                         "|eta| = 1420.95 overflows the Schmidt coefficients; "
+                         "the usable range is |eta| <= 1420.95",
+                         id="schmidt_coefficients"),
+            pytest.param(lambda e: entanglement.reduced_state(e, 4).eigenvalues,
+                         floats.EXP_ETA_MAX + math.log(4.0),
+                         "|eta| = 711.169 overflows the eigenvalues p_k; the usable range is |eta| <= 711.16",
+                         id="reduced_state"),
+            pytest.param(entanglement.purity, floats.COSH_ETA_MAX,
+                         "|eta| = 710.476 overflows the purity 1/cosh(eta); the usable range is |eta| <= 710.47",
+                         id="purity"),
+            pytest.param(entanglement.width, floats.COSH_ETA_MAX,
+                         "|eta| = 710.476 overflows the marginal width sqrt(cosh(eta)/2); "
+                         "the usable range is |eta| <= 710.47",
+                         id="width"),
+            pytest.param(lambda e: parton.model_density(e, [0.0, 1.0]), floats.COSH_ETA_MAX,
+                         "|eta| = 710.476 overflows the closed-form marginal density; "
+                         "the usable range is |eta| <= 710.47",
+                         id="model_density"),
+        ],
+    )
+    def test_exact_float_boundary(self, call, limit, message, sign):
+        # finite at the limit itself, EtaRangeError at the next float past it
+        assert np.all(np.isfinite(np.asarray(call(sign * limit))))
+        with pytest.raises(EtaRangeError) as exc:
+            call(sign * math.nextafter(limit, math.inf))
+        assert str(exc.value) == message
 
     def test_is_a_value_error(self):
         assert issubclass(EtaRangeError, ValueError)
