@@ -1,9 +1,10 @@
 """Float limits, input guards and float text: the part of the core that needs only math.
 
-Every module that takes an eta or builds a table checks it here, and every
-float the package writes as text has the format of format_floats. Importing
-this module loads no numpy, so the closed-form paths (entanglement's scalar
-functions and the sweep command) start without it.
+Every module that takes an eta or builds a table checks it here, and every float the
+package writes as text has the format of format_floats. check_eta is the one eta guard:
+each closed form passes it the |eta| where the form overflows, before checking any other
+argument. Importing this module loads no numpy, so the closed-form paths (entanglement's
+scalar functions and the sweep command) start without it.
 """
 
 import math
