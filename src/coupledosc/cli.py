@@ -11,10 +11,17 @@ start without numpy.
 
 Exit codes: 0 success, 1 domain or data error (bad physics parameters,
 unreadable overlay, failed verification), 2 usage error.
+
+The coupledosc script and python -m coupledosc.cli enter through run(): it
+calls main(), flushes stdout and stderr, and ends the process with os._exit,
+skipping the interpreter's teardown of every module and array. Every file a
+command writes is closed before main() returns. main() is the in-process API
+and returns its exit code normally.
 """
 
 import argparse
 import math
+import os
 import sys
 from array import array
 
@@ -38,6 +45,8 @@ def _emit_json(payload: dict, out: str | None) -> None:
     if out:
         with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    elif sys.stdout is None:
+        raise OSError("stdout is closed; use --out to write the JSON to a file")
     else:
         sys.stdout.write(text)
 
@@ -285,5 +294,25 @@ def main(argv=None) -> int:
         return 1
 
 
+def run() -> None:
+    """Process entry point: main(), then flush both streams and os._exit without teardown."""
+    try:
+        code = main()
+    except SystemExit as exc:  # argparse's exit code for --help and usage errors
+        code = exc.code
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:
+                stream.flush()
+    except (OSError, ValueError):
+        # a pipe closed early or a full disk: leave the report and the exit
+        # status to the normal shutdown
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    if __spec__ is not None:
+        # verify's `from . import cli` then finds this module instead of running cli.py again
+        sys.modules.setdefault(__spec__.name, sys.modules[__name__])
+    run()
