@@ -166,9 +166,8 @@ def integrate_1d(f: Callable, grid: QuadratureGrid | None = None) -> float:
     vals = np.asarray(f(g.nodes), dtype=float)
     if vals.shape != g.nodes.shape:
         raise ValueError("integrand must return one value per node")
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("integrand returned non-finite values")
-    return float(g.weights @ vals)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _finite_integral(float(g.weights @ vals), vals)
 
 
 def integrate_2d(f: Callable, grid: QuadratureGrid | None = None) -> float:
@@ -180,9 +179,21 @@ def integrate_2d(f: Callable, grid: QuadratureGrid | None = None) -> float:
         vals = np.ascontiguousarray(np.broadcast_to(vals, (g.count, g.count)))
     except ValueError:
         raise ValueError("integrand must return one value per mesh point") from None
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _finite_integral(float(g.weights @ vals @ g.weights), vals)
+
+
+def _finite_integral(total: float, vals: np.ndarray) -> float:
+    """The contracted sum, or a ValueError naming why it is not finite.
+
+    The weights are positive, so a non-finite value in vals always makes the
+    sum non-finite: vals is scanned only on that branch.
+    """
+    if math.isfinite(total):
+        return total
     if not np.all(np.isfinite(vals)):
         raise ValueError("integrand returned non-finite values")
-    return float(g.weights @ vals @ g.weights)
+    raise ValueError("the integral overflows the float range; scale the integrand down")
 
 
 @dataclass(frozen=True)

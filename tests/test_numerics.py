@@ -191,6 +191,36 @@ class TestIntegration:
         with pytest.raises(ValueError):
             integrate_1d(lambda x: np.full_like(x, np.nan))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, (np.inf, -np.inf)])
+    def test_nonfinite_value_is_named_in_both_dimensions(self, bad):
+        # the values are scanned only once the contracted sum is not finite
+        def one_d(x):
+            vals = np.ones_like(x)
+            vals[[7, 300]] = bad
+            return vals
+
+        def two_d(x, y):
+            vals = np.ones((x.size, y.size))
+            vals[[7, 300], [11, 200]] = bad
+            return vals
+
+        for integrate, f in ((integrate_1d, one_d), (integrate_2d, two_d)):
+            with pytest.raises(ValueError, match="^integrand returned non-finite values$"):
+                integrate(f)
+
+    def test_finite_integrand_whose_integral_overflows(self):
+        with pytest.raises(ValueError, match="integral overflows the float range"):
+            integrate_1d(lambda x: np.full_like(x, 1e308))
+        with pytest.raises(ValueError, match="integral overflows the float range"):
+            integrate_2d(lambda x, y: np.full((401, 401), 1e308))
+
+    def test_finite_integral_is_the_plain_contraction(self):
+        g = default_grid()
+        x = g.nodes
+        vals = np.exp(-(x[:, None] - 0.3) ** 2 - x[None, :] ** 2 / 3) * np.cos(x[None, :])
+        assert integrate_2d(lambda a, b: vals) == float(g.weights @ vals @ g.weights)
+        assert integrate_1d(lambda a: vals[17]) == float(g.weights @ vals[17])
+
 
 class TestOracleKernel:
     def test_symmetric_by_construction(self):
