@@ -7,7 +7,9 @@ array tables, and sweep writes its rows with floats.format_floats, which
 write_csv's renderer also uses for the values it leaves to Python. Every
 command is deterministic: the same invocation produces the same bytes. Each
 command imports what it runs, so modes, sweep, --help and usage errors
-start without numpy.
+start without numpy. entangle runs every check on its input first and loads
+numpy only in the array functions, after their guards, so each entangle input
+error also exits without it; numerics loads only for --csv and --kernel-csv.
 
 Exit codes: 0 success, 1 domain or data error (bad physics parameters,
 unreadable overlay, failed verification), 2 usage error.
@@ -62,16 +64,18 @@ def cmd_modes(args) -> int:
 
 
 def cmd_entangle(args) -> int:
-    import numpy as np
-
     from . import entanglement
-    from .numerics import oracle_reduced_density, uniform_grid, write_csv
 
+    # every check that can reject the input runs before numpy loads; once their guards
+    # pass, the two arrays cannot raise, so the scalars may run ahead of them
     if args.kmax < 0:
         raise ValueError(f"--kmax must be nonnegative, got {args.kmax}")
+    entanglement._check_schmidt(args.eta, args.kmax)
+    entanglement._check_spectrum(args.eta, args.kmax)
+    x, temperature = entanglement._thermal_map(args.eta, entanglement.check_omega(args.omega))
+    purity, entropy = entanglement.purity(args.eta), entanglement.entropy(args.eta)
     exp_ = entanglement.schmidt_coefficients(args.eta, k_max=args.kmax)
     rs = entanglement.reduced_state(args.eta, k_max=args.kmax)
-    x, temperature = entanglement._thermal_map(args.eta, entanglement.check_omega(args.omega))
     _emit_json(
         {
             "eta": _f(args.eta),
@@ -80,16 +84,22 @@ def cmd_entangle(args) -> int:
             "coeffs": [_f(c) for c in exp_.coefficients],
             "eigenvalues": [_f(p) for p in rs.eigenvalues],
             "tail": _f(rs.tail),
-            "purity": _f(entanglement.purity(args.eta)),
-            "entropy": _f(entanglement.entropy(args.eta)),
+            "purity": _f(purity),
+            "entropy": _f(entropy),
             "x": None if x is None else _f(x),
             "T": _f(temperature),
         },
         args.out,
     )
     if args.csv:
+        import numpy as np
+
+        from .numerics import write_csv
+
         write_csv(args.csv, ("k", "p_k"), (np.arange(rs.eigenvalues.size), rs.eigenvalues))
     if args.kernel_csv:
+        from .numerics import oracle_reduced_density, uniform_grid
+
         kern = oracle_reduced_density(args.eta, uniform_grid(args.grid, args.extent))
         kern.to_csv(args.kernel_csv)
     return 0

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .floats import COSH_ETA_MAX, EXP_ETA_MAX, check_eta
+from .floats import COSH_ETA_MAX, EXP_ETA_MAX, as_float, check_eta, nonfinite_error
 from .numerics import QuadratureGrid, check_resolution, default_grid
 
 _SQRT2 = math.sqrt(2.0)
@@ -85,9 +85,19 @@ def boost_matrix(eta: float) -> np.ndarray:
 
 
 def boost_point(point: SpacetimePoint, eta: float) -> SpacetimePoint:
-    """Boost a spacetime point; scales u by e^{eta/2} and v by e^{-eta/2}."""
+    """Boost a spacetime point; scales u by e^{eta/2} and v by e^{-eta/2}.
+
+    ValueError for a non-finite point, or a boosted point past the float range.
+    """
     m = boost_matrix(eta)
-    z, t = m @ (point.z, point.t)
+    zt = as_float(point.z), as_float(point.t)
+    # a non-finite result is reported below, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        z, t = m @ zt
+    if not (math.isfinite(z) and math.isfinite(t)):
+        raise nonfinite_error(
+            f"the boost by eta = {eta:g}", dict(zip("zt", zt)), "use a smaller point or rapidity"
+        )
     return SpacetimePoint(z=float(z), t=float(t))
 
 

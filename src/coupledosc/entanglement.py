@@ -28,7 +28,9 @@ longitudinal marginal of the boosted state (parton re-exports it).
 
 The scalar closed forms (purity, entropy, the thermal map, the width) need
 only math; the array functions (schmidt_coefficients, reduced_state,
-purity_series, FockExpansion.reconstruct) import numpy when called.
+purity_series, FockExpansion.reconstruct) import numpy when called, and
+schmidt_coefficients and reduced_state only after their guards
+(_check_schmidt, _check_spectrum) pass, so a rejected input never loads it.
 """
 
 import math
@@ -117,12 +119,28 @@ def _check_k_max(k_max: int) -> None:
         raise ValueError(f"k_max must be at most {K_MAX_CAP}, got {k_max}")
 
 
-def schmidt_coefficients(eta: float, k_max: int = 64) -> FockExpansion:
-    """Schmidt coefficients c_k = tanh^k(eta/2)/cosh(eta/2) up to k_max."""
-    import numpy as np
-
+def _check_schmidt(eta: float, k_max: int) -> float:
+    """schmidt_coefficients' guard: eta as a float; ValueError for a non-finite eta or a
+    bad k_max, EtaRangeError where cosh(eta/2) overflows."""
     eta = check_eta(eta, 2.0 * COSH_ETA_MAX, "the Schmidt coefficients")
     _check_k_max(k_max)
+    return eta
+
+
+def _check_spectrum(eta: float, k_max: int) -> float:
+    """reduced_state's guard: eta as a float; ValueError for a non-finite eta or a bad
+    k_max, EtaRangeError where cosh^2(eta/2) overflows."""
+    # cosh^2(eta/2) ~ e^{|eta|}/4
+    eta = check_eta(eta, EXP_ETA_MAX + math.log(4.0), "the eigenvalues p_k")
+    _check_k_max(k_max)
+    return eta
+
+
+def schmidt_coefficients(eta: float, k_max: int = 64) -> FockExpansion:
+    """Schmidt coefficients c_k = tanh^k(eta/2)/cosh(eta/2) up to k_max."""
+    eta = _check_schmidt(eta, k_max)
+    import numpy as np
+
     t = math.tanh(eta / 2.0)
     coeffs = t ** np.arange(k_max + 1) / math.cosh(eta / 2.0)
     coeffs.flags.writeable = False
@@ -132,11 +150,9 @@ def schmidt_coefficients(eta: float, k_max: int = 64) -> FockExpansion:
 
 def reduced_state(eta: float, k_max: int = 64) -> ReducedState:
     """Eigenvalues p_k of the reduced density, a geometric distribution in k."""
+    eta = _check_spectrum(eta, k_max)
     import numpy as np
 
-    # cosh^2(eta/2) ~ e^{|eta|}/4
-    eta = check_eta(eta, EXP_ETA_MAX + math.log(4.0), "the eigenvalues p_k")
-    _check_k_max(k_max)
     t2 = math.tanh(abs(eta) / 2.0) ** 2
     p = t2 ** np.arange(k_max + 1) / math.cosh(eta / 2.0) ** 2
     p.flags.writeable = False

@@ -42,6 +42,18 @@ def check_eta(eta, limit: float = math.inf, form: str = "") -> float:
     return eta
 
 
+def nonfinite_error(form: str, inputs: dict, remedy: str) -> ValueError:
+    """The error for a scalar ``form`` whose value is not finite, built on that branch only.
+
+    It names the non-finite input when one of ``inputs`` (name -> float) is one, and
+    otherwise the overflow and ``remedy``, how to stay inside the float range.
+    """
+    shown = ", ".join(f"{name} = {value:g}" for name, value in inputs.items())
+    if all(math.isfinite(value) for value in inputs.values()):
+        return ValueError(f"{form} overflows a float at {shown}; {remedy}")
+    return ValueError(f"{form} needs finite inputs, got {shown}")
+
+
 def check_table_size(values: int, table: str, remedy: str) -> None:
     """ValueError when ``table``, of ``values`` floats, would exceed MAX_TABLE_VALUES.
 

@@ -24,6 +24,8 @@ import math
 import sys
 from dataclasses import dataclass
 
+from .floats import as_float, nonfinite_error
+
 
 class UnstablePotentialError(ValueError):
     """Potential is not positive definite; no bound ground state exists."""
@@ -120,14 +122,23 @@ def ground_state(x1, x2, eta: float):
 
 
 def hamiltonian_energy(x, p, params: CoupledParams) -> float:
-    """Classical energy of a phase-space point ((x1,x2), (p1,p2))."""
-    x1, x2 = (float(v) for v in x)
-    p1, p2 = (float(v) for v in p)
-    return 0.5 * (
+    """Classical energy of a phase-space point ((x1,x2), (p1,p2)).
+
+    ValueError for a non-finite coordinate or momentum, or an energy past the float range.
+    """
+    x1, x2 = (as_float(v) for v in x)
+    p1, p2 = (as_float(v) for v in p)
+    energy = 0.5 * (
         (p1 * p1 + p2 * p2) / params.m
         + params.A * (x1 * x1 + x2 * x2)
         + 2.0 * params.C * x1 * x2
     )
+    if not math.isfinite(energy):
+        raise nonfinite_error(
+            "the energy H(x, p)", {"x1": x1, "x2": x2, "p1": p1, "p2": p2},
+            "use smaller coordinates or momenta",
+        )
+    return energy
 
 
 def normal_mode_energy(y, py, params: CoupledParams) -> float:
@@ -135,11 +146,18 @@ def normal_mode_energy(y, py, params: CoupledParams) -> float:
 
     H = (py1^2 + py2^2)/(2m) + (K/2)(e^{-2eta} y1^2 + e^{+2eta} y2^2).
     The y1 mode carries stiffness A+C = K e^{-2eta} and y2 carries A-C = K e^{+2eta}.
+    ValueError for a non-finite coordinate or momentum, or an energy past the float range.
     """
     modes = normal_modes(params)
-    y1, y2 = (float(v) for v in y)
-    q1, q2 = (float(v) for v in py)
-    return 0.5 * (
+    y1, y2 = (as_float(v) for v in y)
+    q1, q2 = (as_float(v) for v in py)
+    energy = 0.5 * (
         (q1 * q1 + q2 * q2) / params.m
         + modes.K * (math.exp(-2.0 * modes.eta) * y1 * y1 + math.exp(2.0 * modes.eta) * y2 * y2)
     )
+    if not math.isfinite(energy):
+        raise nonfinite_error(
+            "the normal-mode energy", {"y1": y1, "y2": y2, "py1": q1, "py2": q2},
+            "use smaller coordinates or momenta",
+        )
+    return energy

@@ -140,6 +140,27 @@ class TestEntangle:
         assert payload["entropy"] == 0.0
         assert math.isfinite(payload["x"]) and payload["x"] > 1000.0
 
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (["--eta=1500", "--kmax=200000"],
+             "|eta| = 1500 overflows the Schmidt coefficients; the usable range is |eta| <= 1420.95"),
+            (["--eta=800", "--kmax=200000"], "k_max must be at most 100000, got 200000"),
+            (["--eta=nan", "--kmax=-1"], "--kmax must be nonnegative, got -1"),
+            (["--eta=800", "--omega=-1"],
+             "|eta| = 800 overflows the eigenvalues p_k; the usable range is |eta| <= 711.16"),
+            (["--eta=0", "--omega=-1"], "omega must be positive, got -1.0"),
+            (["--eta=711", "--omega=2"],
+             "T = omega/x overflows a float at |eta| = 711 (x = 6.58693e-309); "
+             "omega must be at most 1.18413, got 2"),
+            (["--eta=711", "--kmax=-1"], "--kmax must be nonnegative, got -1"),
+        ],
+    )
+    def test_first_fault_is_reported(self, argv, error, capsys):
+        # with two faults, the order of the checks decides which one is named
+        assert run(["entangle", *argv]) == 1
+        assert capsys.readouterr() == ("", f"coupledosc: error: {error}\n")
+
 
 class TestBoost:
     def test_mesh_csv(self, tmp_path):

@@ -45,6 +45,18 @@ def _python(*args, cwd=None):
                      id="sweep-huge-eta"),
         pytest.param(["sweep", "--start=-1e308", "--stop=1e308", "--steps=3", "--out=s.csv"], 1,
                      id="sweep-infinite-width"),
+        # every entangle input error is found before numpy loads
+        pytest.param(["entangle", "--eta=800"], 1, id="entangle-eta-past-spectrum"),
+        pytest.param(["entangle", "--eta=-1500"], 1, id="entangle-eta-past-schmidt"),
+        pytest.param(["entangle", "--eta=nan"], 1, id="entangle-eta-nan"),
+        pytest.param(["entangle", "--eta=1", "--kmax=-1"], 1, id="entangle-negative-kmax"),
+        pytest.param(["entangle", "--eta=1", "--kmax=200000"], 1, id="entangle-kmax-past-cap"),
+        pytest.param(["entangle", "--eta=800", "--kmax=200000"], 1, id="entangle-kmax-before-spectrum"),
+        pytest.param(["entangle", "--eta=800", "--omega=-1"], 1, id="entangle-eta-before-omega"),
+        pytest.param(["entangle", "--eta=1", "--omega=nan"], 1, id="entangle-omega-nan"),
+        pytest.param(["entangle", "--eta=5", "--omega=1e308"], 1, id="entangle-temperature-overflow"),
+        pytest.param(["entangle", "--eta=0.5", "--omega=5e-324"], 1, id="entangle-temperature-underflow"),
+        pytest.param(["entangle", "--eta=711", "--csv=p.csv"], 1, id="entangle-eta-past-purity"),
     ],
 )
 def test_runs_without_numpy(argv, code, tmp_path):
@@ -70,6 +82,20 @@ def test_sweep_leaves_numpy_unloaded(tmp_path):
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == ["False"]
     assert (tmp_path / "s.csv").read_text(encoding="utf-8").count("\n") == 6
+
+
+@pytest.mark.parametrize("csv, loaded", [([], False), (["--csv=p.csv"], True)])
+def test_entangle_loads_numerics_only_for_a_table(csv, loaded, tmp_path):
+    code = (
+        "import sys\n"
+        "from coupledosc.cli import main\n"
+        f"assert main(['entangle', '--eta=1', '--out=e.json', *{csv!r}]) == 0\n"
+        "print('coupledosc.numerics' in sys.modules)\n"
+    )
+    out = _python("-c", code, cwd=tmp_path)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == [str(loaded)]
+    assert (tmp_path / "p.csv").exists() == loaded
 
 
 def test_numpy_commands_still_need_numpy():

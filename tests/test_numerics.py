@@ -22,6 +22,7 @@ from coupledosc.numerics import (
 )
 
 PI_QUARTER = 0.7511255444649425  # pi^(-1/4)
+BENCH = oscillator.CoupledParams(m=1.0, A=5.0, C=-3.0)
 PHI2_AT_1 = 0.32214418255673755  # (2 - 1)/sqrt2 * pi^(-1/4) * e^(-1/2)
 
 
@@ -329,6 +330,38 @@ class TestEtaRange:
     def test_public_functions_reject_cleanly(self, call, eta, error):
         with pytest.raises(error):
             call(eta)
+
+    @pytest.mark.parametrize(
+        "call, value, message",
+        [
+            pytest.param(lambda x: oscillator.hamiltonian_energy((x, 0.0), (0.0, 0.0), BENCH), 1e308,
+                         "the energy H(x, p) overflows a float at x1 = 1e+308, x2 = 0, p1 = 0, p2 = 0; "
+                         "use smaller coordinates or momenta", id="hamiltonian_energy-overflow"),
+            pytest.param(lambda p: oscillator.hamiltonian_energy((0.0, 0.0), (p, 0.0), BENCH), math.nan,
+                         "the energy H(x, p) needs finite inputs, got x1 = 0, x2 = 0, p1 = nan, p2 = 0",
+                         id="hamiltonian_energy-nan"),
+            pytest.param(lambda y: oscillator.normal_mode_energy((y, 0.0), (0.0, 0.0), BENCH), 1e308,
+                         "the normal-mode energy overflows a float at y1 = 1e+308, y2 = 0, py1 = 0, "
+                         "py2 = 0; use smaller coordinates or momenta", id="normal_mode_energy-overflow"),
+            pytest.param(lambda y: oscillator.normal_mode_energy((0.0, y), (0.0, 0.0), BENCH), -math.inf,
+                         "the normal-mode energy needs finite inputs, got y1 = 0, y2 = -inf, py1 = 0, py2 = 0",
+                         id="normal_mode_energy-inf"),
+            pytest.param(lambda z: covariant.boost_point(covariant.SpacetimePoint(z, 0.1), 0.5), math.inf,
+                         "the boost by eta = 0.5 needs finite inputs, got z = inf, t = 0.1",
+                         id="boost_point-inf"),
+            pytest.param(lambda z: covariant.boost_point(covariant.SpacetimePoint(z, z), 2.0), 1e308,
+                         "the boost by eta = 2 overflows a float at z = 1e+308, t = 1e+308; "
+                         "use a smaller point or rapidity", id="boost_point-overflow"),
+            pytest.param(lambda z: covariant.boost_point(covariant.SpacetimePoint(z, 0.0), 0.0), 10**400,
+                         "the boost by eta = 0 needs finite inputs, got z = inf, t = 0",
+                         id="boost_point-10**400"),
+        ],
+    )
+    def test_scalar_functions_reject_non_finite_results(self, call, value, message):
+        # a scalar phase-space function returns a finite float or raises, and no warning escapes
+        with pytest.raises(ValueError) as exc:
+            call(value)
+        assert str(exc.value) == message
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     @pytest.mark.parametrize(
