@@ -58,7 +58,7 @@ def cmd_modes(args) -> int:
 
     params = oscillator.CoupledParams(m=args.m, A=args.A, C=args.C)
     modes = oscillator.normal_modes(params)
-    # the dataclasses' field order is the JSON key order
+    # the records' field order is the JSON key order
     _emit_json({k: _f(v) for k, v in (vars(params) | vars(modes)).items()}, args.out)
     return 0
 

@@ -31,17 +31,16 @@ cross_module_identity compares them, so they are kept apart.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .floats import COSH_ETA_MAX, EXP_ETA_MAX, as_float, check_eta, nonfinite_error
+from .floats import COSH_ETA_MAX, EXP_ETA_MAX, as_float, check_eta, nonfinite_error, record
 from .numerics import QuadratureGrid, check_resolution, default_grid
 
 _SQRT2 = math.sqrt(2.0)
 
 
-@dataclass(frozen=True)
+@record
 class SpacetimePoint:
     z: float
     t: float
@@ -59,7 +58,7 @@ class SpacetimePoint:
         return cls(z=(u + v) / _SQRT2, t=(u - v) / _SQRT2)
 
 
-@dataclass(frozen=True)
+@record
 class MomentumPoint:
     qz: float
     q0: float
@@ -105,7 +104,9 @@ def dirac_gaussian(z, t):
     """Rest-frame ground state (1/sqrt pi) exp{-(z^2 + t^2)/2}, vectorized."""
     za = np.asarray(z, dtype=float)
     ta = np.asarray(t, dtype=float)
-    out = np.pi ** -0.5 * np.exp(-0.5 * (za * za + ta * ta))
+    # a square that overflows to inf gives exp(-inf) = 0, the right value
+    with np.errstate(over="ignore"):
+        out = np.pi ** -0.5 * np.exp(-0.5 * (za * za + ta * ta))
     return out if out.ndim else float(out)
 
 
@@ -180,13 +181,27 @@ def hadron_variables(x_a, x_b) -> tuple[np.ndarray, np.ndarray]:
     """Average and relative four-vectors of a two-constituent bound state.
 
     X = (x_a + x_b)/2 locates the hadron; x = (x_a - x_b)/(2 sqrt2) is the
-    internal separation. Four-vectors are (t, x, y, z) tuples.
+    internal separation. Four-vectors are (t, x, y, z) tuples. ValueError for a
+    non-finite four-vector, or a sum or difference past the float range.
     """
     xa, xb = _four_vectors(x_a, x_b)
-    return (xa + xb) / 2.0, (xa - xb) / (2.0 * _SQRT2)
+    with np.errstate(over="ignore"):
+        return _finite_pair((xa + xb) / 2.0, (xa - xb) / (2.0 * _SQRT2), {"x_a": xa, "x_b": xb})
 
 
 def momentum_variables(p_a, p_b) -> tuple[np.ndarray, np.ndarray]:
-    """Conjugate pair: total P = p_a + p_b and relative q = sqrt2 (p_a - p_b)."""
+    """Conjugate pair: total P = p_a + p_b and relative q = sqrt2 (p_a - p_b); ValueError as
+    for hadron_variables."""
     pa, pb = _four_vectors(p_a, p_b)
-    return pa + pb, _SQRT2 * (pa - pb)
+    with np.errstate(over="ignore"):
+        return _finite_pair(pa + pb, _SQRT2 * (pa - pb), {"p_a": pa, "p_b": pb})
+
+
+def _finite_pair(first, second, inputs: dict):
+    """(first, second), formed from the finite four-vectors ``inputs`` (name -> array);
+    ValueError, in place of a warning, where a sum or difference of them overflows."""
+    if np.isfinite(first).all() and np.isfinite(second).all():
+        return first, second
+    largest = {f"max |{name}|": float(np.max(np.abs(v))) for name, v in inputs.items()}
+    form = f"the sum or difference of {' and '.join(inputs)}"
+    raise nonfinite_error(form, largest, "use smaller four-vectors")

@@ -35,10 +35,9 @@ schmidt_coefficients and reduced_state only after their guards
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .floats import COSH_ETA_MAX, EXP_ETA_MAX, as_float, check_eta
+from .floats import COSH_ETA_MAX, EXP_ETA_MAX, as_float, check_eta, record
 
 if TYPE_CHECKING:
     import numpy as np
@@ -51,7 +50,7 @@ SMALL_ETA = 0.01
 K_MAX_CAP = 100_000
 
 
-@dataclass(frozen=True)
+@record
 class FockExpansion:
     """Truncated Schmidt expansion: coefficients c_0..c_{k_max} and the exact tail.
 
@@ -79,7 +78,7 @@ class FockExpansion:
         return vals if np.ndim(x1) or np.ndim(x2) else float(vals[0])
 
 
-@dataclass(frozen=True)
+@record
 class ReducedState:
     """Spectrum of the one-mode reduced density, truncated at k_max."""
 
@@ -89,7 +88,7 @@ class ReducedState:
     tail: float
 
 
-@dataclass(frozen=True)
+@record
 class ThermalMap:
     """Effective thermal description of the unobserved mode."""
 

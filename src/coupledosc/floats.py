@@ -3,8 +3,9 @@
 Every module that takes an eta or builds a table checks it here, and every float the
 package writes as text has the format of format_floats. check_eta is the one eta guard:
 each closed form passes it the |eta| where the form overflows, before checking any other
-argument. Importing this module loads no numpy, so the closed-form paths (entanglement's
-scalar functions and the sweep command) start without it.
+argument. The record decorator makes the package's frozen result types without the
+dataclasses module. Importing this module loads no numpy, so the closed-form paths
+(entanglement's scalar functions and the sweep command) start without it.
 """
 
 import math
@@ -66,3 +67,65 @@ def check_table_size(values: int, table: str, remedy: str) -> None:
 def format_floats(values) -> list[str]:
     """Each float of ``values`` as %.15g text, the one format of every written float."""
     return ["%.15g" % v for v in values]
+
+
+def _frozen(self, name, *value):
+    raise AttributeError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+
+def _record_eq(self, other):
+    return self.__dict__ == other.__dict__ if other.__class__ is self.__class__ else NotImplemented
+
+
+def _record_hash(self):
+    return hash(tuple(self.__dict__.values()))
+
+
+def _record_repr(self):
+    fields = ", ".join(f"{name}={value!r}" for name, value in self.__dict__.items())
+    return f"{self.__class__.__qualname__}({fields})"
+
+
+def record(cls):
+    """Make ``cls`` a frozen record, as @dataclass(frozen=True) would, without its imports.
+
+    The fields are the class's own annotations, in order, with defaults from class
+    attributes. __init__ takes them by position or keyword and then calls __post_init__,
+    if the class has one. The instance dict holds exactly the fields in order, so vars()
+    lists them and == and hash compare the field tuple. repr has the dataclass text.
+    """
+    names = tuple(cls.__annotations__)
+    defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
+    post_init = getattr(cls, "__post_init__", None)
+    adopt = object.__setattr__
+
+    def bind(args, kwargs):
+        if len(args) > len(names):
+            raise TypeError(f"{cls.__name__}() takes {len(names)} arguments but {len(args)} were given")
+        values = defaults | dict(zip(names, args))
+        for name, value in kwargs.items():
+            if name not in names:
+                raise TypeError(f"{cls.__name__}() got an unexpected keyword argument {name!r}")
+            if names.index(name) < len(args):
+                raise TypeError(f"{cls.__name__}() got multiple values for argument {name!r}")
+            values[name] = value
+        missing = [name for name in names if name not in values]
+        if missing:
+            raise TypeError(f"{cls.__name__}() missing required arguments: {', '.join(map(repr, missing))}")
+        return {name: values[name] for name in names}
+
+    def __init__(self, *args, **kwargs):
+        # the common calls, every field by keyword in order or by position, skip bind
+        if not args and tuple(kwargs) == names:
+            adopt(self, "__dict__", kwargs)
+        elif not kwargs and len(args) == len(names):
+            adopt(self, "__dict__", dict(zip(names, args)))
+        else:
+            adopt(self, "__dict__", bind(args, kwargs))
+        if post_init is not None:
+            post_init(self)
+
+    cls.__init__, cls.__match_args__ = __init__, names
+    cls.__setattr__ = cls.__delattr__ = _frozen
+    cls.__eq__, cls.__hash__, cls.__repr__ = _record_eq, _record_hash, _record_repr
+    return cls

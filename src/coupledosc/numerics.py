@@ -28,7 +28,6 @@ so they are kept apart.
 """
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from types import SimpleNamespace
 from typing import Callable
@@ -36,7 +35,7 @@ from typing import Callable
 import numpy as np
 
 from . import floats
-from .floats import EXP_ETA_MAX, check_eta, check_table_size, format_floats
+from .floats import EXP_ETA_MAX, check_eta, check_table_size, format_floats, record
 
 DEFAULT_COUNT = 401
 DEFAULT_EXTENT = 8.0
@@ -65,7 +64,7 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@record
 class QuadratureGrid:
     """Uniform nodes on [-extent, extent] with trapezoid weights.
 
@@ -196,7 +195,7 @@ def _finite_integral(total: float, vals: np.ndarray) -> float:
     raise ValueError("the integral overflows the float range; scale the integrand down")
 
 
-@dataclass(frozen=True)
+@record
 class DensityKernel:
     """Discretized reduced density rho(x, x') on a quadrature grid.
 

@@ -22,16 +22,15 @@ functions (to_normal, from_normal, ground_state) import numpy when called.
 
 import math
 import sys
-from dataclasses import dataclass
 
-from .floats import as_float, nonfinite_error
+from .floats import as_float, nonfinite_error, record
 
 
 class UnstablePotentialError(ValueError):
     """Potential is not positive definite; no bound ground state exists."""
 
 
-@dataclass(frozen=True)
+@record
 class CoupledParams:
     """Mass m and the quadratic-form couplings A (diagonal) and C (cross)."""
 
@@ -40,7 +39,9 @@ class CoupledParams:
     C: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.m) and math.isfinite(self.A) and math.isfinite(self.C)):
+        # as_float reads an int past the float range as inf; the fields keep the values given
+        m, A, C = as_float(self.m), as_float(self.A), as_float(self.C)
+        if not (math.isfinite(m) and math.isfinite(A) and math.isfinite(C)):
             raise ValueError("parameters must be finite")
         if self.m <= 0.0:
             raise ValueError(f"mass must be positive, got {self.m}")
@@ -50,7 +51,7 @@ class CoupledParams:
             )
 
 
-@dataclass(frozen=True)
+@record
 class NormalModeData:
     K: float
     eta: float
@@ -102,7 +103,9 @@ def to_normal(x1, x2):
     import numpy as np
 
     s = 1.0 / math.sqrt(2.0)
-    return s * (np.asarray(x1) + np.asarray(x2)), s * (np.asarray(x1) - np.asarray(x2))
+    # elementwise, as numpy: a sum past the float range gives inf and inf - inf NaN, unwarned
+    with np.errstate(over="ignore", invalid="ignore"):
+        return s * (np.asarray(x1) + np.asarray(x2)), s * (np.asarray(x1) - np.asarray(x2))
 
 
 # the 45-degree rotation is its own inverse, so normal back to particle

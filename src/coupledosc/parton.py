@@ -25,12 +25,11 @@ import csv
 import math
 import os
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from .entanglement import width
-from .floats import COSH_ETA_MAX, check_eta, check_table_size
+from .floats import COSH_ETA_MAX, check_eta, check_table_size, record
 from .numerics import MESH_BLOCK_ROWS, QuadratureGrid, blocks, check_resolution, default_grid, write_csv
 
 _VARIABLES = ("z", "qz")
@@ -44,7 +43,7 @@ class OverlayValidationError(ValueError):
     """Overlay parsed but violates a structural requirement."""
 
 
-@dataclass(frozen=True)
+@record
 class MarginalDistribution:
     variable: str
     eta: float
@@ -53,7 +52,7 @@ class MarginalDistribution:
     variance: float
 
 
-@dataclass(frozen=True)
+@record
 class OverlaySeries:
     """External reference curve: strictly increasing abscissas with finite values."""
 

@@ -19,12 +19,12 @@ import functools
 import io
 import math
 import tempfile
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import covariant, entanglement, oscillator, parton
+from .floats import record
 from .numerics import (
     default_grid,
     hermite_basis,
@@ -37,7 +37,7 @@ from .numerics import (
 _SEED = 20260819
 
 
-@dataclass(frozen=True)
+@record
 class CheckResult:
     name: str
     passed: bool
@@ -46,7 +46,7 @@ class CheckResult:
     detail: str = ""
 
 
-@dataclass(frozen=True)
+@record
 class VerifyReport:
     checks: tuple
     overall_pass: bool

@@ -98,6 +98,28 @@ def test_entangle_loads_numerics_only_for_a_table(csv, loaded, tmp_path):
     assert (tmp_path / "p.csv").exists() == loaded
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["modes", "--m=1", "--A=5", "--C=-3"], 0),
+        (["sweep", "--start=0", "--stop=1", "--steps=5", "--out=s.csv"], 0),
+        (["entangle", "--eta=800"], 1),
+    ],
+    ids=["modes", "sweep", "entangle-eta-800"],
+)
+def test_records_load_neither_dataclasses_nor_inspect(argv, code, tmp_path):
+    # the result types are floats.record classes, so no command pays for these imports
+    script = (
+        "import sys\n"
+        "from coupledosc.cli import main\n"
+        f"assert main({argv!r}) == {code}\n"
+        "print('dataclasses' in sys.modules, 'inspect' in sys.modules, file=sys.stderr)\n"
+    )
+    out = _python("-c", script, cwd=tmp_path)
+    assert out.returncode == 0, out.stderr
+    assert out.stderr.splitlines()[-1].split() == ["False", "False"]
+
+
 def test_numpy_commands_still_need_numpy():
     # the block is real: a command that uses numpy fails under it
     blocked = _python("-c", MAIN, "block", "entangle", "--eta=1")

@@ -20,6 +20,7 @@ from coupledosc.numerics import (
     oracle_reduced_density,
     uniform_grid,
 )
+from coupledosc.verify import CheckResult
 
 PI_QUARTER = 0.7511255444649425  # pi^(-1/4)
 BENCH = oscillator.CoupledParams(m=1.0, A=5.0, C=-3.0)
@@ -325,6 +326,13 @@ class TestEtaRange:
             # an eta fault is reported before a k_max fault
             pytest.param(lambda e: entanglement.schmidt_coefficients(e, k_max=200000), 1500.0,
                          EtaRangeError, id="schmidt_coefficients-eta-before-k_max"),
+            # a field is tested through as_float, so an int past the float range is not finite
+            pytest.param(lambda m: oscillator.CoupledParams(m=m, A=5.0, C=-3.0), 10**400, ValueError,
+                         id="CoupledParams-m-10**400"),
+            pytest.param(lambda a: oscillator.CoupledParams(m=1.0, A=a, C=-3.0), 10**400, ValueError,
+                         id="CoupledParams-A-10**400"),
+            pytest.param(lambda c: oscillator.CoupledParams(m=1.0, A=5.0, C=c), -10**400, ValueError,
+                         id="CoupledParams-C--10**400"),
         ],
     )
     def test_public_functions_reject_cleanly(self, call, eta, error):
@@ -355,6 +363,16 @@ class TestEtaRange:
             pytest.param(lambda z: covariant.boost_point(covariant.SpacetimePoint(z, 0.0), 0.0), 10**400,
                          "the boost by eta = 0 needs finite inputs, got z = inf, t = 0",
                          id="boost_point-10**400"),
+            pytest.param(lambda x: covariant.hadron_variables((x, 0, 0, 0), (x, 0, 0, 0)), 1e308,
+                         "the sum or difference of x_a and x_b overflows a float at max |x_a| = 1e+308, "
+                         "max |x_b| = 1e+308; use smaller four-vectors", id="hadron_variables-sum-overflow"),
+            pytest.param(lambda x: covariant.hadron_variables((0, x, 0, 0), (0, -x, 0, 0)), 1e308,
+                         "the sum or difference of x_a and x_b overflows a float at max |x_a| = 1e+308, "
+                         "max |x_b| = 1e+308; use smaller four-vectors",
+                         id="hadron_variables-difference-overflow"),
+            pytest.param(lambda p: covariant.momentum_variables((p, 0, 0, 0), (p, 0, 0, 0)), 1e308,
+                         "the sum or difference of p_a and p_b overflows a float at max |p_a| = 1e+308, "
+                         "max |p_b| = 1e+308; use smaller four-vectors", id="momentum_variables-sum-overflow"),
         ],
     )
     def test_scalar_functions_reject_non_finite_results(self, call, value, message):
@@ -362,6 +380,20 @@ class TestEtaRange:
         with pytest.raises(ValueError) as exc:
             call(value)
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "call, expected",
+        [
+            pytest.param(lambda: oscillator.to_normal(1e308, 1e308), (math.inf, 0.0),
+                         id="to_normal-overflow"),
+            pytest.param(lambda: oscillator.to_normal(math.inf, math.inf), (math.inf, math.nan),
+                         id="to_normal-inf-minus-inf"),
+            pytest.param(lambda: covariant.dirac_gaussian(1e308, 0.1), 0.0, id="dirac_gaussian-overflow"),
+        ],
+    )
+    def test_elementwise_functions_follow_numpy(self, call, expected):
+        # an elementwise function gives inf, NaN or 0.0 where numpy does, and no warning escapes
+        np.testing.assert_array_equal(call(), expected)
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     @pytest.mark.parametrize(
@@ -412,3 +444,106 @@ class TestEtaRange:
 
     def test_is_a_value_error(self):
         assert issubclass(EtaRangeError, ValueError)
+
+
+@floats.record
+class _Pair:
+    x: float
+    y: float = 0.0
+
+    def __post_init__(self):
+        if self.x < 0.0:
+            raise ValueError("x must be nonnegative")
+
+
+@floats.record
+class _OtherPair:
+    x: float
+    y: float
+
+
+class TestRecord:
+    """floats.record: frozen records with the dataclass construction, equality and repr."""
+
+    def test_construction(self):
+        assert vars(_Pair(1.0, 2.0)) == {"x": 1.0, "y": 2.0}
+        assert vars(_Pair(x=1.0, y=2.0)) == {"x": 1.0, "y": 2.0}
+        assert vars(_Pair(1.0, y=2.0)) == {"x": 1.0, "y": 2.0}
+        assert vars(_Pair(1.0)) == {"x": 1.0, "y": 0.0}
+        assert vars(_Pair(x=1.0)) == {"x": 1.0, "y": 0.0}
+        assert vars(CheckResult("c", True, 0.5, 1.0)) == {
+            "name": "c", "passed": True, "deviation": 0.5, "tolerance": 1.0, "detail": ""
+        }
+
+    def test_vars_lists_the_fields_in_order(self):
+        # keywords out of order too: vars() is the JSON key order of modes and verify
+        assert list(vars(_Pair(y=2.0, x=1.0))) == ["x", "y"]
+        modes = oscillator.normal_modes(BENCH)
+        assert list(vars(modes)) == ["K", "eta", "omega", "omega_plus", "omega_minus"]
+        assert list(vars(BENCH)) == ["m", "A", "C"]
+        assert _Pair.__match_args__ == ("x", "y")
+
+    @pytest.mark.parametrize(
+        "args, kwargs, message",
+        [
+            ((), {}, r"_Pair\(\) missing required arguments: 'x'"),
+            ((), {"y": 1.0}, r"_Pair\(\) missing required arguments: 'x'"),
+            ((1.0, 2.0, 3.0), {}, r"_Pair\(\) takes 2 arguments but 3 were given"),
+            ((1.0,), {"z": 3.0}, r"_Pair\(\) got an unexpected keyword argument 'z'"),
+            ((1.0,), {"x": 3.0}, r"_Pair\(\) got multiple values for argument 'x'"),
+        ],
+        ids=["none", "missing", "too-many", "unknown", "repeated"],
+    )
+    def test_bad_arguments_raise_type_error(self, args, kwargs, message):
+        with pytest.raises(TypeError, match=message):
+            _Pair(*args, **kwargs)
+
+    def test_frozen(self):
+        pair = _Pair(1.0, 2.0)
+        with pytest.raises(AttributeError, match="cannot assign to field 'x'"):
+            pair.x = 3.0
+        with pytest.raises(AttributeError, match="cannot assign to field 'z'"):
+            pair.z = 3.0
+        with pytest.raises(AttributeError, match="cannot delete field 'y'"):
+            del pair.y
+        assert vars(pair) == {"x": 1.0, "y": 2.0}
+
+    def test_equality_and_hash_follow_the_fields(self):
+        assert _Pair(1.0, 2.0) == _Pair(x=1.0, y=2.0)
+        assert _Pair(1.0, 2.0) != _Pair(1.0, 3.0)
+        assert hash(_Pair(1.0, 2.0)) == hash(_Pair(x=1.0, y=2.0)) == hash((1.0, 2.0))
+        # another class with the same fields is not equal
+        assert _Pair(1.0, 2.0) != _OtherPair(1.0, 2.0)
+        assert _Pair(1.0, 2.0).__eq__((1.0, 2.0)) is NotImplemented
+        assert len({_Pair(1.0, 2.0), _Pair(x=1.0, y=2.0)}) == 1
+
+    @pytest.mark.parametrize(
+        "args, kwargs", [((-1.0, 2.0), {}), ((), {"x": -1.0, "y": 2.0}), ((), {"y": 2.0, "x": -1.0})],
+        ids=["position", "keyword", "keyword-out-of-order"],
+    )
+    def test_post_init_validates_every_call(self, args, kwargs):
+        with pytest.raises(ValueError, match="x must be nonnegative"):
+            _Pair(*args, **kwargs)
+
+    @pytest.mark.parametrize(
+        "make, text",
+        [
+            (lambda: BENCH, "CoupledParams(m=1.0, A=5.0, C=-3.0)"),
+            (lambda: oscillator.normal_modes(BENCH),
+             "NormalModeData(K=4.0, eta=0.34657359027997264, omega=2.0, omega_plus=2.82842712474619, "
+             "omega_minus=1.4142135623730951)"),
+            (lambda: covariant.SpacetimePoint(z=0.8, t=-1.3), "SpacetimePoint(z=0.8, t=-1.3)"),
+            (lambda: entanglement.effective_temperature(1.5, 2.0),
+             "ThermalMap(omega=2.0, x=0.9077914738164128, temperature=2.203149134670624)"),
+            (lambda: CheckResult("b", False, 0.5, 0.1, "why"),
+             "CheckResult(name='b', passed=False, deviation=0.5, tolerance=0.1, detail='why')"),
+        ],
+        ids=["CoupledParams", "NormalModeData", "SpacetimePoint", "ThermalMap", "CheckResult"],
+    )
+    def test_repr_is_the_dataclass_text(self, make, text):
+        assert repr(make()) == text
+
+    def test_public_records_compare_by_field(self):
+        assert covariant.SpacetimePoint(0.8, -1.3) == covariant.SpacetimePoint(z=0.8, t=-1.3)
+        assert hash(BENCH) == hash(oscillator.CoupledParams(1.0, 5.0, -3.0))
+        assert covariant.SpacetimePoint(0.8, -1.3) != covariant.MomentumPoint(0.8, -1.3)
