@@ -182,26 +182,25 @@ def hadron_variables(x_a, x_b) -> tuple[np.ndarray, np.ndarray]:
 
     X = (x_a + x_b)/2 locates the hadron; x = (x_a - x_b)/(2 sqrt2) is the
     internal separation. Four-vectors are (t, x, y, z) tuples. ValueError for a
-    non-finite four-vector, or a sum or difference past the float range.
+    non-finite four-vector; two finite ones always give a finite X and x.
     """
     xa, xb = _four_vectors(x_a, x_b)
     with np.errstate(over="ignore"):
-        return _finite_pair((xa + xb) / 2.0, (xa - xb) / (2.0 * _SQRT2), {"x_a": xa, "x_b": xb})
+        X, x = (xa + xb) / 2.0, (xa - xb) / (2.0 * _SQRT2)
+    # where the sum or difference overflowed, halve first; only there, because
+    # halving first rounds subnormal components differently
+    X = np.where(np.isfinite(X), X, xa / 2.0 + xb / 2.0)
+    x = np.where(np.isfinite(x), x, (xa / 2.0 - xb / 2.0) / _SQRT2)
+    return X, x
 
 
 def momentum_variables(p_a, p_b) -> tuple[np.ndarray, np.ndarray]:
-    """Conjugate pair: total P = p_a + p_b and relative q = sqrt2 (p_a - p_b); ValueError as
-    for hadron_variables."""
+    """Conjugate pair: total P = p_a + p_b and relative q = sqrt2 (p_a - p_b). ValueError for
+    a non-finite four-vector, or a sum or difference past the float range."""
     pa, pb = _four_vectors(p_a, p_b)
     with np.errstate(over="ignore"):
-        return _finite_pair(pa + pb, _SQRT2 * (pa - pb), {"p_a": pa, "p_b": pb})
-
-
-def _finite_pair(first, second, inputs: dict):
-    """(first, second), formed from the finite four-vectors ``inputs`` (name -> array);
-    ValueError, in place of a warning, where a sum or difference of them overflows."""
-    if np.isfinite(first).all() and np.isfinite(second).all():
-        return first, second
-    largest = {f"max |{name}|": float(np.max(np.abs(v))) for name, v in inputs.items()}
-    form = f"the sum or difference of {' and '.join(inputs)}"
-    raise nonfinite_error(form, largest, "use smaller four-vectors")
+        P, q = pa + pb, _SQRT2 * (pa - pb)
+    if not (np.isfinite(P).all() and np.isfinite(q).all()):
+        largest = {f"max |{name}|": float(np.max(np.abs(v))) for name, v in (("p_a", pa), ("p_b", pb))}
+        raise nonfinite_error("the sum or difference of p_a and p_b", largest, "use smaller four-vectors")
+    return P, q

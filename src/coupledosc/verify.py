@@ -13,6 +13,11 @@ uniform 1e-6 gate at eta = 2 even though the exact truncation tail of the
 a companion check (schmidt_truncation_tail_identity) proves the measured
 error *is* the exact tail, i.e. the coefficients are right and the residual
 is pure, irreducible truncation. See README, Known limitations.
+
+Four checks test identities on seeded random points. They draw them from
+_DefaultRng, a pure-Python copy of np.random.default_rng's stream, so verify
+draws numpy's points without importing numpy.random (and with it secrets,
+hashlib and OpenSSL).
 """
 
 import functools
@@ -35,6 +40,63 @@ from .numerics import (
 )
 
 _SEED = 20260819
+
+# numpy's default stream, np.random.default_rng(seed) for a seed in [0, 2**32):
+# SeedSequence -> PCG64 (XSL-RR) -> 53-bit doubles
+_M32, _M64, _M128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hashmix(value: int, const: int, mult: int) -> tuple[int, int]:
+    """SeedSequence's 32-bit hash of value under const, and the next const."""
+    value ^= const
+    const = const * mult & _M32
+    value = value * const & _M32
+    return value ^ value >> 16, const
+
+
+class _DefaultRng:
+    """The draws of np.random.default_rng(seed) that verify uses: random() and uniform()."""
+
+    def __init__(self, seed: int):
+        if not 0 <= seed <= _M32:
+            raise ValueError(f"seed must be in [0, 2**32), got {seed}")
+        # SeedSequence.mix_entropy: hash the seed word into a pool of 4, then mix every pair
+        pool, const = [], 0x43B0D7E5
+        for word in (seed, 0, 0, 0):
+            word, const = _hashmix(word, const, 0x931E8875)
+            pool.append(word)
+        for src in range(4):
+            for dst in range(4):
+                if src != dst:
+                    hashed, const = _hashmix(pool[src], const, 0x931E8875)
+                    mixed = 0xCA01F9DD * pool[dst] - 0x4973F715 * hashed & _M32
+                    pool[dst] = mixed ^ mixed >> 16
+        # generate_state(8) as uint32, then 4 little-endian uint64 words
+        state, const = [], 0x8B51F9DD
+        for i in range(8):
+            word, const = _hashmix(pool[i % 4], const, 0x58F38DED)
+            state.append(word)
+        w = [state[i] | state[i + 1] << 32 for i in range(0, 8, 2)]
+        # PCG64 seeding: odd increment from w[2:], two steps around adding w[:2] to a zero state
+        self._inc = (w[2] << 64 | w[3]) << 1 & _M128 | 1
+        self._state = (self._inc + (w[0] << 64 | w[1])) * _PCG_MULT + self._inc & _M128
+
+    def _next64(self) -> int:
+        """One LCG step, then the XSL-RR output of the new state."""
+        s = self._state = self._state * _PCG_MULT + self._inc & _M128
+        x, rot = (s >> 64 ^ s) & _M64, s >> 122
+        return (x >> rot | x << (64 - rot)) & _M64
+
+    def random(self) -> float:
+        return (self._next64() >> 11) * 2.0**-53
+
+    def uniform(self, low: float, high: float, size: int | None = None):
+        """low + (high - low) * d, each operation rounded, as numpy's random_uniform."""
+        if size is not None:
+            return [self.uniform(low, high) for _ in range(size)]
+        low, high = float(low), float(high)
+        return low + (high - low) * self.random()
 
 
 @record
@@ -177,7 +239,7 @@ def check_normal_mode_frequencies():
 
 @check(1e-12, "100 seeded phase-space points")
 def check_hamiltonian_form_equivalence():
-    rng = np.random.default_rng(_SEED)
+    rng = _DefaultRng(_SEED)
     dev = 0.0
     for _ in range(100):
         a = rng.uniform(0.5, 5.0)
@@ -360,7 +422,7 @@ def check_schmidt_truncation_tail_identity():
 
 @check(1e-12, "rapidity is additive")
 def check_boost_composition():
-    rng = np.random.default_rng(_SEED)
+    rng = _DefaultRng(_SEED)
     dev = 0.0
     for _ in range(100):
         p = covariant.SpacetimePoint(z=rng.uniform(-5, 5), t=rng.uniform(-5, 5))
@@ -381,7 +443,7 @@ def check_boost_determinant():
 
 @check(1e-12, "z^2 - t^2 = 2uv preserved")
 def check_boost_invariance():
-    rng = np.random.default_rng(_SEED + 1)
+    rng = _DefaultRng(_SEED + 1)
     dev = 0.0
     for _ in range(100):
         p = covariant.SpacetimePoint(z=rng.uniform(-5, 5), t=rng.uniform(-5, 5))
@@ -404,7 +466,7 @@ def check_lightcone_roundtrip():
 
 @check(1e-12, "psi_eta at the boosted point is psi_0 at the original")
 def check_covariance_identity():
-    rng = np.random.default_rng(_SEED + 2)
+    rng = _DefaultRng(_SEED + 2)
     dev = 0.0
     for _ in range(100):
         p = covariant.SpacetimePoint(z=rng.uniform(-3, 3), t=rng.uniform(-3, 3))

@@ -168,6 +168,36 @@ class TestHadronVariables:
         assert_allclose(X + math.sqrt(2.0) * x, xa, atol=1e-14)
         assert_allclose(X - math.sqrt(2.0) * x, xb, atol=1e-14)
 
+    @pytest.mark.parametrize(
+        "x_b, X, x",
+        [
+            pytest.param((1e308, 0, 0, 0), [1e308, 0, 0, 0], [0, 0, 0, 0], id="sum"),
+            pytest.param((-1e308, 0, 0, 0), [0, 0, 0, 0], [1e308 / math.sqrt(2.0), 0, 0, 0], id="difference"),
+        ],
+    )
+    def test_overflow_halves_first(self, x_b, X, x):
+        # X and x are finite though x_a + x_b or x_a - x_b is not
+        got_X, got_x = hadron_variables((1e308, 0, 0, 0), x_b)
+        assert got_X.tolist() == X
+        assert got_x.tolist() == x
+
+    def test_finite_sums_keep_the_sum_first_bits(self):
+        rng = np.random.default_rng(11)
+        pairs = [tuple(rng.normal(size=4) * 10.0 ** rng.integers(-300, 300, size=4) for _ in "ab")
+                 for _ in range(200)]
+        # halving first would give X[0] = 0 here, not 5e-324
+        pairs.append(((5e-324, 5e-324, 0.0, 1.0), (5e-324, -5e-324, 0.0, 1.0)))
+        for xa, xb in pairs:
+            X, x = hadron_variables(xa, xb)
+            xa, xb = np.asarray(xa, dtype=float), np.asarray(xb, dtype=float)
+            assert X.tobytes() == ((xa + xb) / 2.0).tobytes()
+            assert x.tobytes() == ((xa - xb) / (2.0 * math.sqrt(2.0))).tobytes()
+
+    @pytest.mark.parametrize("p_b", [(1e308, 0, 0, 0), (-1e308, 0, 0, 0)], ids=["sum", "difference"])
+    def test_momentum_variables_still_reject_an_overflow(self, p_b):
+        with pytest.raises(ValueError, match="the sum or difference of p_a and p_b overflows"):
+            momentum_variables((1e308, 0, 0, 0), p_b)
+
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError):
             hadron_variables((1.0, 2.0, 3.0), (0.0, 0.0, 0.0, 0.0))

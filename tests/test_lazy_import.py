@@ -120,6 +120,23 @@ def test_records_load_neither_dataclasses_nor_inspect(argv, code, tmp_path):
     assert out.stderr.splitlines()[-1].split() == ["False", "False"]
 
 
+def test_verify_loads_neither_numpy_random_nor_hashlib(tmp_path):
+    # the seeded checks draw numpy's stream from a pure-Python copy; numpy before
+    # 2.0 loads numpy.random on import, so only what verify adds to numpy counts
+    script = (
+        "import sys\n"
+        "import numpy\n"
+        "before = set(sys.modules)\n"
+        "from coupledosc.cli import main\n"
+        "assert main(['verify', '--out', 'report.json']) == 1\n"
+        "print(sorted({'numpy.random', 'secrets', 'hashlib'} & set(sys.modules) - before), file=sys.stderr)\n"
+    )
+    out = _python("-c", script, cwd=tmp_path)
+    assert out.returncode == 0, out.stderr
+    assert out.stderr.splitlines()[-1] == "[]"
+    assert (tmp_path / "report.json").exists()
+
+
 def test_numpy_commands_still_need_numpy():
     # the block is real: a command that uses numpy fails under it
     blocked = _python("-c", MAIN, "block", "entangle", "--eta=1")

@@ -1,7 +1,13 @@
-"""The verify registry, and the checks that share inputs give the bits of the loops they replaced."""
+"""The verify registry, and the checks that share inputs give the bits of the loops they replaced.
+
+The seeded checks draw from a pure-Python copy of np.random.default_rng; the copy
+is tested against numpy here.
+"""
 
 import math
+import platform
 
+import numpy as np
 import pytest
 
 from coupledosc import entanglement, oscillator, parton, verify
@@ -92,3 +98,58 @@ def test_parton_checks_share_the_marginals(monkeypatch):
               for e in (0.0, 0.5, 1.0, 2.0) for v in ("z", "qz"))
     assert law.deviation == dev
     assert growth.passed
+
+
+# the (low, high) pairs the seeded checks draw over
+DRAWS = [(0.5, 5.0), (-0.9, 0.9), (0.2, 3.0), (-3, 3), (-5, 5), (-2, 2)]
+SEEDS = [0, 1, 2**32 - 1, verify._SEED, verify._SEED + 1, verify._SEED + 2]
+# numpy's C uniform computes low + range * d; x86-64 rounds it twice, as the copy
+# does, where an arm64 compiler may fuse it into one FMA
+ROUNDS_TWICE = platform.machine().lower() in ("x86_64", "amd64")
+
+
+def draw_both(seed, n=2400):
+    """n uniform draws from numpy and from verify's copy: scalar and size-2 calls in turn."""
+    ours, theirs = [], []
+    rng, copy = np.random.default_rng(seed), verify._DefaultRng(seed)
+    for i in range(n // 3):
+        low, high = DRAWS[i % len(DRAWS)]
+        ours += [copy.uniform(low, high), *copy.uniform(low, high, 2)]
+        theirs += [rng.uniform(low, high), *rng.uniform(low, high, 2)]
+    return ours, theirs
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_default_rng_copy_draws_numpy_s_doubles(seed):
+    rng, copy = np.random.default_rng(seed), verify._DefaultRng(seed)
+    assert [copy.random() for _ in range(2000)] == [rng.random() for _ in range(2000)]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_default_rng_copy_draws_numpy_s_uniforms(seed):
+    ours, theirs = draw_both(seed)
+    if ROUNDS_TWICE:
+        assert ours == theirs
+    else:
+        assert all(abs(a - b) <= math.ulp(b) for a, b in zip(ours, theirs, strict=True))
+
+
+@pytest.mark.parametrize("seed", [-1, 2**32, 2**64])
+def test_default_rng_copy_takes_one_word_seeds_only(seed):
+    with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*32\)"):
+        verify._DefaultRng(seed)
+
+
+@pytest.mark.parametrize(
+    "name", ["hamiltonian_form_equivalence", "boost_composition", "boost_invariance", "covariance_identity"]
+)
+def test_seeded_checks_give_the_bits_of_numpy_s_generator(monkeypatch, name):
+    if not ROUNDS_TWICE:
+        ours, theirs = draw_both(verify._SEED, n=600)
+        if ours != theirs:
+            pytest.skip("numpy's uniform rounds low + range * d once here, the copy twice")
+    check = getattr(verify, "check_" + name)
+    result = check()
+    # the generator the checks drew from before the copy
+    monkeypatch.setattr(verify, "_DefaultRng", np.random.default_rng)
+    assert check() == result
