@@ -10,6 +10,9 @@ command imports what it runs, so modes, sweep, --help and usage errors
 start without numpy. entangle runs every check on its input first and loads
 numpy only in the array functions, after their guards, so each entangle input
 error also exits without it; numerics loads only for --csv and --kernel-csv.
+parton likewise checks --n and eta, and reads an overlay of at most
+parton.LOOP_MAX_BYTES with its row loop, before it loads numpy, so a bad --n,
+a bad eta or a malformed small overlay exits without it.
 
 Exit codes: 0 success, 1 domain or data error (bad physics parameters,
 unreadable overlay, failed verification), 2 usage error.
@@ -119,13 +122,15 @@ def cmd_boost(args) -> int:
 
 
 def cmd_parton(args) -> int:
-    import numpy as np
-
     from . import parton
-    from .numerics import write_csv
 
     if args.overlay:
+        # a malformed small overlay is rejected before numpy loads
         series = parton.ingest_overlay(args.overlay)
+        import numpy as np
+
+        from .numerics import write_csv
+
         shift, scale = args.rescale if args.rescale else (0.0, 1.0)
         with np.errstate(over="ignore"):
             coords = shift + scale * series.x

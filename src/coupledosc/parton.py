@@ -19,20 +19,35 @@ re-exported here as width.
 CSV exports go through numerics.write_csv (15 significant digits, LF, UTF-8,
 header row), so ingesting a previously exported overlay and re-exporting
 reproduces the bytes exactly.
+
+Importing this module loads neither numpy nor numerics. Each function imports
+them where it uses them, after its guards: export_gaussian_pdf checks n and eta
+first, and ingest_overlay reads a file of at most LOOP_MAX_BYTES with its row
+loop and builds the arrays only once every row has passed. So a rejected
+export or a malformed small overlay exits without numpy.
 """
 
 import csv
 import math
 import os
 import warnings
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .entanglement import width
-from .floats import COSH_ETA_MAX, check_eta, check_table_size, record
-from .numerics import MESH_BLOCK_ROWS, QuadratureGrid, blocks, check_resolution, default_grid, write_csv
+from .floats import COSH_ETA_MAX, as_float, check_eta, check_table_size, record
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .numerics import QuadratureGrid
 
 _VARIABLES = ("z", "qz")
+
+# overlays of at most this many bytes skip np.loadtxt for the row loop. Warm, with numpy
+# loaded, the loop reads 1,000 clean rows (32 KiB) in 1.4-1.6 ms against 0.5 ms for
+# loadtxt, and 2,000 (64 KiB) in 2.8-3.0 against 0.9-1.0 ms: up to this size a clean file
+# pays about 1 ms, while a malformed one skips importing numpy, which takes 70-100 ms
+LOOP_MAX_BYTES = 32 * 1024
 
 
 class OverlayParseError(ValueError):
@@ -47,8 +62,8 @@ class OverlayValidationError(ValueError):
 class MarginalDistribution:
     variable: str
     eta: float
-    coordinates: np.ndarray
-    density: np.ndarray
+    coordinates: "np.ndarray"
+    density: "np.ndarray"
     variance: float
 
 
@@ -56,16 +71,18 @@ class MarginalDistribution:
 class OverlaySeries:
     """External reference curve: strictly increasing abscissas with finite values."""
 
-    x: np.ndarray
-    values: np.ndarray
+    x: "np.ndarray"
+    values: "np.ndarray"
     source: str
 
     def to_csv(self, path) -> None:
+        from .numerics import write_csv
+
         write_csv(path, ("x", "value"), (self.x, self.values))
 
 
 def longitudinal_density(
-    eta: float, variable: str = "z", grid: QuadratureGrid | None = None
+    eta: float, variable: str = "z", grid: "QuadratureGrid | None" = None
 ) -> MarginalDistribution:
     """Marginal of the squared wavefunction along z or qz, by quadrature.
 
@@ -80,10 +97,13 @@ def longitudinal_density(
     (65, 129, 801, 1201) OpenBLAS may group a row's terms differently and the
     density can move in the last bit.
     """
-    from . import covariant
-
     if variable not in _VARIABLES:
         raise ValueError(f"variable must be one of {_VARIABLES}, got {variable!r}")
+    import numpy as np
+
+    from . import covariant
+    from .numerics import MESH_BLOCK_ROWS, blocks, check_resolution, default_grid
+
     g = grid if grid is not None else default_grid()
     eta = check_resolution(eta, g)
     wavefunction = covariant.boosted_wavefunction if variable == "z" else covariant.momentum_wavefunction
@@ -102,7 +122,7 @@ def longitudinal_density(
     )
 
 
-def lightcone_fraction(eta: float, band: float = 0.5, grid: QuadratureGrid | None = None) -> float:
+def lightcone_fraction(eta: float, band: float = 0.5, grid: "QuadratureGrid | None" = None) -> float:
     """Probability mass of |psi_eta|^2 within |v| < band of the light cone u-axis.
 
     Grows toward 1 as eta increases (the squeezed Gaussian collapses onto
@@ -115,10 +135,14 @@ def lightcone_fraction(eta: float, band: float = 0.5, grid: QuadratureGrid | Non
     1201-node grid the result is the one the whole mesh gives on one BLAS
     thread; on other grids it can move in the last bit.
     """
-    from . import covariant
-
+    band = as_float(band)
     if not band >= 0.0:
         raise ValueError(f"band must be nonnegative, got {band}")
+    import numpy as np
+
+    from . import covariant
+    from .numerics import MESH_BLOCK_ROWS, blocks, check_resolution, default_grid
+
     g = grid if grid is not None else default_grid()
     check_resolution(eta, g)
     z, w = g.nodes[:, None], g.weights
@@ -132,16 +156,21 @@ def lightcone_fraction(eta: float, band: float = 0.5, grid: QuadratureGrid | Non
     return float(inside @ w) / float(total @ w)
 
 
-def model_density(eta: float, coords) -> np.ndarray:
+def model_density(eta: float, coords) -> "np.ndarray":
     """Closed-form normalized marginal exp(-x^2/cosh eta)/sqrt(pi cosh eta)."""
     c = math.cosh(check_eta(eta, COSH_ETA_MAX, "the closed-form marginal density"))
+    import numpy as np
+
+    norm = math.pi * c
+    # pi cosh(eta) overflows for 709.33 < |eta| <= 710.47; its root is still a float there
+    root = math.sqrt(norm) if norm < math.inf else math.sqrt(math.pi) * math.sqrt(c)
     xa = np.asarray(coords, dtype=float)
     # a square that overflows to inf gives exp(-inf) = 0, the right value
     with np.errstate(over="ignore"):
-        return np.exp(-xa * xa / c) / math.sqrt(math.pi * c)
+        return np.exp(-xa * xa / c) / root
 
 
-def export_gaussian_pdf(eta: float, n: int, path) -> np.ndarray:
+def export_gaussian_pdf(eta: float, n: int, path) -> "np.ndarray":
     """Write the closed-form marginal on n points spanning +-6 widths.
 
     CSV columns (coordinate, model_density); returns the coordinates used.
@@ -151,6 +180,10 @@ def export_gaussian_pdf(eta: float, n: int, path) -> np.ndarray:
     check_table_size(n, f"a marginal of n = {n} points", "use fewer points")
     eta = check_eta(eta)
     half = 6.0 * width(eta)
+    import numpy as np
+
+    from .numerics import write_csv
+
     coords = np.linspace(-half, half, int(n))
     dens = model_density(eta, coords)
     write_csv(path, ("coordinate", "model_density"), (coords, dens))
@@ -165,9 +198,11 @@ def ingest_overlay(path) -> OverlaySeries:
     not strictly increasing) raise OverlayValidationError.
 
     The grammar is _read_rows: the csv module's default dialect, one float()
-    per field, blank lines skipped. The body is first parsed by one
-    np.loadtxt call; whatever that call does not return as a valid table is
-    read again by _read_rows, which reports the error.
+    per field, blank lines skipped. A file of at most LOOP_MAX_BYTES goes
+    straight to _read_rows, which imports numpy only after every row has
+    passed. A larger body is first parsed by one np.loadtxt call; whatever
+    that call does not return as a valid table is read again by _read_rows,
+    which reports the error.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -179,7 +214,7 @@ def ingest_overlay(path) -> OverlaySeries:
             raise OverlayParseError(f"line {reader.line_num}: {exc}") from None
         if [c.strip() for c in header] != ["x", "value"]:
             raise OverlayParseError(f"line 1: expected header 'x,value', got {','.join(header)!r}")
-        table = _load_rows(fh, path)
+        table = _load_rows(fh, path) if os.fstat(fh.fileno()).st_size > LOOP_MAX_BYTES else None
         if table is None:
             fh.seek(0)
             reader = csv.reader(fh)
@@ -200,6 +235,8 @@ def _load_rows(fh, path):
     those bounds np.loadtxt and _read_rows accept the same rows with the same
     values (both parse with PyOS_string_to_double; numpy takes ASCII only).
     """
+    import numpy as np
+
     try:
         with warnings.catch_warnings():
             # a header-only file warns "input contained no data"
@@ -209,7 +246,8 @@ def _load_rows(fh, path):
         return None
     if data.shape[0] < 2 or data.shape[1] != 2 or not np.all(np.isfinite(data)):
         return None
-    if not np.all(np.diff(data[:, 0]) > 0.0) or not _lines_fit(path, csv.field_size_limit()):
+    # b > a is np.diff(x) > 0.0 for finite x, without its warning where b - a overflows
+    if not np.all(data[1:, 0] > data[:-1, 0]) or not _lines_fit(path, csv.field_size_limit()):
         return None
     x, v = data.T.copy()
     return x, v
@@ -258,7 +296,8 @@ def _read_rows(reader, path):
         raise OverlayParseError(f"line {reader.line_num}: {exc}") from None
     if len(xs) < 2:
         raise OverlayValidationError(f"{path}: overlay needs at least 2 rows, got {len(xs)}")
-    x = np.asarray(xs)
-    if not np.all(np.diff(x) > 0.0):
+    if not all(b - a > 0.0 for a, b in zip(xs, xs[1:])):
         raise OverlayValidationError(f"{path}: overlay abscissas must be strictly increasing")
-    return x, np.asarray(vals)
+    import numpy as np
+
+    return np.asarray(xs), np.asarray(vals)

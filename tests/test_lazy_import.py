@@ -20,6 +20,20 @@ MAIN = (
 )
 
 
+# overlays that parton rejects; the bad line sits last, so every row is read first
+OVERLAYS = {
+    "bad-field.csv": "x,value\n0,1\n1,2\n2,abc\n",
+    "three-fields.csv": "x,value\n0,1\n1,2\n2,3,4\n",
+    "one-field.csv": "x,value\n0,1\n1,2\n2\n",
+    "inf.csv": "x,value\n0,1\n1,2\n2,inf\n",
+    "not-increasing.csv": "x,value\n0,1\n1,2\n1,3\n",
+    "one-row.csv": "x,value\n0,1\n",
+    "header-only.csv": "x,value\n",
+    "bad-header.csv": "x,val\n0,1\n1,2\n",
+    "empty.csv": "",
+}
+
+
 def _python(*args, cwd=None):
     return subprocess.run(
         [sys.executable, *args], capture_output=True, text=True, env=ENV, timeout=60, cwd=cwd
@@ -57,12 +71,26 @@ def _python(*args, cwd=None):
         pytest.param(["entangle", "--eta=5", "--omega=1e308"], 1, id="entangle-temperature-overflow"),
         pytest.param(["entangle", "--eta=0.5", "--omega=5e-324"], 1, id="entangle-temperature-underflow"),
         pytest.param(["entangle", "--eta=711", "--csv=p.csv"], 1, id="entangle-eta-past-purity"),
+        # so is every parton error in a small overlay, in --n or in eta
+        *(
+            pytest.param(["parton", "--eta=1", f"--overlay={name}", "--out=o.csv"], 1,
+                         id=f"parton-overlay-{name.removesuffix('.csv')}")
+            for name in OVERLAYS
+        ),
+        pytest.param(["parton", "--eta=1", "--n=1", "--out=o.csv"], 1, id="parton-one-point"),
+        pytest.param(["parton", "--eta=1", "--n=99999999", "--out=o.csv"], 1, id="parton-n-past-cap"),
+        pytest.param(["parton", "--eta=nan", "--out=o.csv"], 1, id="parton-eta-nan"),
+        pytest.param(["parton", "--eta=800", "--out=o.csv"], 1, id="parton-eta-800"),
     ],
 )
 def test_runs_without_numpy(argv, code, tmp_path):
     runs = {}
     for mode in ("block", "normal"):
         (tmp_path / mode).mkdir()
+        for arg in argv:
+            if arg.startswith("--overlay="):
+                name = arg.removeprefix("--overlay=")
+                (tmp_path / mode / name).write_text(OVERLAYS[name], encoding="utf-8", newline="")
         result = _python("-c", MAIN, mode, *argv, cwd=tmp_path / mode)
         written = sorted((f.name, f.read_bytes()) for f in (tmp_path / mode).iterdir())
         runs[mode] = (result.returncode, result.stdout, result.stderr, written)
@@ -135,6 +163,37 @@ def test_verify_loads_neither_numpy_random_nor_hashlib(tmp_path):
     assert out.returncode == 0, out.stderr
     assert out.stderr.splitlines()[-1] == "[]"
     assert (tmp_path / "report.json").exists()
+
+
+def test_parton_import_loads_neither_numpy_nor_numerics():
+    out = _python("-c", "import sys, coupledosc.parton; print('numpy' in sys.modules, "
+                        "'coupledosc.numerics' in sys.modules)")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["False", "False"]
+
+
+def test_small_overlay_loads_numpy_after_its_rows_pass(tmp_path):
+    # a finder notes how many rows the row loop holds when numpy is first imported
+    rows = 200
+    path = tmp_path / "ov.csv"
+    path.write_text("x,value\n" + "".join(f"{i},0.5\n" for i in range(rows)), encoding="utf-8")
+    script = (
+        "import sys\n"
+        "class Spy:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name == 'numpy':\n"
+        "            frame = sys._getframe(1)\n"
+        "            while frame.f_code.co_name != '_read_rows':\n"
+        "                frame = frame.f_back\n"
+        "            print(len(frame.f_locals['xs']), file=sys.stderr)\n"
+        "sys.meta_path.insert(0, Spy())\n"
+        "from coupledosc import parton\n"
+        f"series = parton.ingest_overlay({str(path)!r})\n"
+        "print(series.x.size, 'coupledosc.numerics' in sys.modules, file=sys.stderr)\n"
+    )
+    out = _python("-c", script)
+    assert out.returncode == 0, out.stderr
+    assert out.stderr.split() == [str(rows), str(rows), "False"]
 
 
 def test_numpy_commands_still_need_numpy():

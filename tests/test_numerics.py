@@ -323,6 +323,8 @@ class TestEtaRange:
                          id="lightcone_fraction-band-nan"),
             pytest.param(lambda b: parton.lightcone_fraction(0.5, band=b), -1.0, ValueError,
                          id="lightcone_fraction-band--1.0"),
+            pytest.param(lambda b: parton.lightcone_fraction(0.5, band=b), -10**400, ValueError,
+                         id="lightcone_fraction-band--10**400"),
             # an eta fault is reported before a k_max fault
             pytest.param(lambda e: entanglement.schmidt_coefficients(e, k_max=200000), 1500.0,
                          EtaRangeError, id="schmidt_coefficients-eta-before-k_max"),
@@ -338,6 +340,10 @@ class TestEtaRange:
     def test_public_functions_reject_cleanly(self, call, eta, error):
         with pytest.raises(error):
             call(eta)
+
+    def test_band_past_the_float_range_is_inf(self):
+        # read through as_float, an int past the float range is the band inf
+        assert parton.lightcone_fraction(0.5, band=10**400) == parton.lightcone_fraction(0.5, band=math.inf)
 
     @pytest.mark.parametrize(
         "call, value, message",

@@ -2,7 +2,8 @@
 
 For every input, ingest_overlay must give what the loop alone gives: the same
 arrays bit for bit, or the same exception with the same message, and no
-warning either way.
+warning either way. Files of at most parton.LOOP_MAX_BYTES skip np.loadtxt, so
+the tests of the np.loadtxt route on small files patch that limit to 0.
 """
 
 import csv
@@ -83,21 +84,50 @@ CASES = {
     "huge_digits": "x,value\n0,1\n1,2" + "0" * HUGE + "\n",
     "huge_zeros": "x,value\n0,1\n" + "0" * HUGE + "1,2\n",
     "huge_header": "x,value" + " " * HUGE + "\n0,1\n1,2\n",
+    "x_span_overflows": "x,value\n-1e308,1\n1e308,2\n",
 }
 
+# sends every file, however small, through np.loadtxt first
+LOADTXT_ALWAYS = mock.patch.object(parton, "LOOP_MAX_BYTES", 0)
 
+
+@LOADTXT_ALWAYS
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_fast_path_matches_the_loop(name, tmp_path):
     path = write(tmp_path / "ov.csv", CASES[name])
     assert outcome(path) == loop_outcome(path)
 
 
+@LOADTXT_ALWAYS
 @pytest.mark.parametrize("name", ["clean", "blank_lines", "crlf", "lone_cr", "mixed_endings",
-                                  "spaces_tabs", "unicode_space", "form_feed", "number_forms"])
+                                  "spaces_tabs", "unicode_space", "form_feed", "number_forms",
+                                  "x_span_overflows"])
 def test_clean_files_take_the_fast_path(name, tmp_path):
     path = write(tmp_path / "ov.csv", CASES[name])
     with mock.patch.object(parton, "_read_rows", side_effect=AssertionError("row loop entered")):
         parton.ingest_overlay(path)
+
+
+def sized_overlay(size, bad):
+    """Overlay text of exactly ``size`` bytes; with ``bad``, its middle row cannot be parsed."""
+    rows = [f"{i:05d},0.25\n" for i in range((size - 32) // 11)]
+    if bad:
+        rows[len(rows) // 2] = f"{len(rows) // 2},abc\n"
+    text = "x,value\n" + "".join(rows)
+    last = f"{len(rows)},0.5"
+    return text + last + "0" * (size - len(text) - len(last) - 1) + "\n"
+
+
+@pytest.mark.parametrize("past", [0, 1], ids=["at-the-limit", "one-byte-past"])
+@pytest.mark.parametrize("bad", [False, True], ids=["clean", "malformed"])
+def test_the_size_choice_keeps_the_outcome(past, bad, tmp_path):
+    path = write(tmp_path / "ov.csv", sized_overlay(parton.LOOP_MAX_BYTES + past, bad))
+    assert path.stat().st_size == parton.LOOP_MAX_BYTES + past
+    with mock.patch.object(parton, "_load_rows", wraps=parton._load_rows) as load:
+        result = outcome(path)
+    assert load.called == bool(past)
+    assert result == loop_outcome(path)
+    assert result[0] is parton.OverlayParseError if bad else isinstance(result[0], bytes)
 
 
 @pytest.mark.parametrize("name", ["huge_whitespace", "huge_digits", "huge_zeros"])
@@ -184,6 +214,7 @@ def overlay_texts(draw):
     return body if draw(st.booleans()) else body.rstrip("\r\n")
 
 
+@LOADTXT_ALWAYS
 @settings(max_examples=300, deadline=None)
 @given(overlay_texts())
 def test_generated_overlays_match_the_loop(text):

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -176,6 +177,44 @@ class TestBlockedReductions:
             tracemalloc.stop()
         # one 1201^2 float mesh alone is 11.5 MB
         assert peak < 8e6
+
+
+class TestModelDensity:
+    # 1/sqrt(pi) to 60 digits, for references in decimal arithmetic
+    INV_SQRT_PI = Decimal("0.564189583547756286948079451560772585844050629328998856844086")
+
+    def reference(self, eta, x):
+        """exp(-x^2/cosh eta)/sqrt(pi cosh eta) in 60-digit decimal arithmetic."""
+        with localcontext() as ctx:
+            ctx.prec = 60
+            e, x = Decimal(eta), Decimal(x)
+            c = (e.exp() + (-e).exp()) / 2
+            return float((-(x * x) / c).exp() / c.sqrt() * self.INV_SQRT_PI)
+
+    @pytest.mark.parametrize("eta", [710.0, -710.0, 709.34, 710.47])
+    def test_past_the_range_of_pi_cosh(self, eta):
+        # pi cosh(eta) overflows here; within 2 ulp of the reference: about 1 for
+        # cosh and the two roots, 1/2 for the division, 1 for np.exp away from 0
+        assert math.pi * math.cosh(eta) == math.inf
+        coords = [0.0, 1e150, -1e154]
+        for x, got in zip(coords, model_density(eta, coords)):
+            want = self.reference(eta, x)
+            assert abs(got - want) <= 2 * math.ulp(want), (x, got, want)
+
+    @pytest.mark.parametrize("eta", [0.0, 0.5, -3.0, 100.0, -709.0, 709.0, 709.33, -709.33])
+    def test_bits_unchanged_inside_the_range_of_pi_cosh(self, eta):
+        c = math.cosh(eta)
+        assert math.pi * c < math.inf
+        coords = np.linspace(-8.0 * math.sqrt(c), 8.0 * math.sqrt(c), 101)
+        with np.errstate(over="ignore"):  # the outer squares overflow from |eta| near 705
+            want = np.exp(-coords * coords / c) / math.sqrt(math.pi * c)
+        assert model_density(eta, coords).tobytes() == want.tobytes()
+
+    def test_export_at_eta_710_is_not_zero(self, tmp_path):
+        path = tmp_path / "marginal.csv"
+        export_gaussian_pdf(710.0, 3, path)
+        middle = path.read_text(encoding="utf-8").splitlines()[2]
+        assert middle == "0,5.33825094768075e-155"
 
 
 class TestExport:
