@@ -43,6 +43,8 @@ if TYPE_CHECKING:
 
 _VARIABLES = ("z", "qz")
 
+_UNDERFLOW = "the density underflows to 0 on every node, as the grid spacing is too coarse; use more nodes"
+
 # overlays of at most this many bytes skip np.loadtxt for the row loop. Warm, with numpy
 # loaded, the loop reads 1,000 clean rows (32 KiB) in 1.4-1.6 ms against 0.5 ms for
 # loadtxt, and 2,000 (64 KiB) in 2.8-3.0 against 0.9-1.0 ms: up to this size a clean file
@@ -102,7 +104,7 @@ def longitudinal_density(
     import numpy as np
 
     from . import covariant
-    from .numerics import MESH_BLOCK_ROWS, blocks, check_resolution, default_grid
+    from .numerics import MESH_BLOCK_ROWS, GridResolutionError, blocks, check_resolution, default_grid
 
     g = grid if grid is not None else default_grid()
     eta = check_resolution(eta, g)
@@ -113,6 +115,8 @@ def longitudinal_density(
         amp = wavefunction(g.nodes[rows, None], b, eta)
         dens[rows] = (amp * amp) @ g.weights
     area = float(g.weights @ dens)
+    if area == 0.0:
+        raise GridResolutionError(_UNDERFLOW)
     dens = dens / area
     mean = float(g.weights @ (g.nodes * dens))
     var = float(g.weights @ ((g.nodes - mean) ** 2 * dens))
@@ -134,6 +138,11 @@ def lightcone_fraction(eta: float, band: float = 0.5, grid: "QuadratureGrid | No
     the weights. Memory is O(MESH_BLOCK_ROWS * N), never N x N. On verify's
     1201-node grid the result is the one the whole mesh gives on one BLAS
     thread; on other grids it can move in the last bit.
+
+    Only rows with |z - t| <= 2 sqrt(760 e^-eta) are evaluated: past them
+    psi_eta's exponent, at most -e^eta (z - t)^2 / 4, is below -746, where
+    np.exp gives exactly +0.0. The rest of each block stays zero-filled, so on
+    every grid the result has the bits of evaluating every row.
     """
     band = as_float(band)
     if not band >= 0.0:
@@ -141,19 +150,28 @@ def lightcone_fraction(eta: float, band: float = 0.5, grid: "QuadratureGrid | No
     import numpy as np
 
     from . import covariant
-    from .numerics import MESH_BLOCK_ROWS, blocks, check_resolution, default_grid
+    from .numerics import MESH_BLOCK_ROWS, GridResolutionError, blocks, check_resolution, default_grid
 
     g = grid if grid is not None else default_grid()
-    check_resolution(eta, g)
-    z, w = g.nodes[:, None], g.weights
+    eta = check_resolution(eta, g)
+    # 760 leaves a rounding margin over 746; inf when e^-eta is huge, so every row is live
+    reach = 2.0 * math.sqrt(760.0 * math.exp(-eta))
+    w = g.weights
     total, inside = np.empty(g.count), np.empty(g.count)
     for cols in blocks(g.count, MESH_BLOCK_ROWS):
         t = g.nodes[None, cols]
-        rho = covariant.boosted_wavefunction(z, t, eta) ** 2
+        lo, hi = np.searchsorted(g.nodes, (t[0, 0] - reach, t[0, -1] + reach))
+        z = g.nodes[lo:hi, None]
+        rho, masked = np.zeros((g.count, t.shape[1])), np.zeros((g.count, t.shape[1]))
+        rho[lo:hi] = covariant.boosted_wavefunction(z, t, eta) ** 2
         V = (z - t) / math.sqrt(2.0)
+        np.copyto(masked[lo:hi], rho[lo:hi], where=np.abs(V) < band)
         total[cols] = w @ rho
-        inside[cols] = w @ np.where(np.abs(V) < band, rho, 0.0)
-    return float(inside @ w) / float(total @ w)
+        inside[cols] = w @ masked
+    mass = float(total @ w)
+    if mass == 0.0:
+        raise GridResolutionError(_UNDERFLOW)
+    return float(inside @ w) / mass
 
 
 def model_density(eta: float, coords) -> "np.ndarray":
@@ -165,9 +183,13 @@ def model_density(eta: float, coords) -> "np.ndarray":
     # pi cosh(eta) overflows for 709.33 < |eta| <= 710.47; its root is still a float there
     root = math.sqrt(norm) if norm < math.inf else math.sqrt(math.pi) * math.sqrt(c)
     xa = np.asarray(coords, dtype=float)
-    # a square that overflows to inf gives exp(-inf) = 0, the right value
     with np.errstate(over="ignore"):
-        return np.exp(-xa * xa / c) / root
+        arg = -xa * xa / c
+        far = np.isinf(arg)
+        if far.any():
+            # x*x overflowed, but x^2/c can still be small: form (x/sqrt c)^2 there only
+            arg = np.where(far, -((xa / math.sqrt(c)) ** 2), arg)
+        return np.exp(arg) / root
 
 
 def export_gaussian_pdf(eta: float, n: int, path) -> "np.ndarray":

@@ -10,7 +10,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from coupledosc import covariant
-from coupledosc.numerics import MESH_BLOCK_ROWS, GridResolutionError, default_grid, uniform_grid
+from coupledosc.numerics import MESH_BLOCK_ROWS, GridResolutionError, blocks, default_grid, uniform_grid
 from coupledosc.parton import (
     OverlayParseError,
     OverlaySeries,
@@ -87,6 +87,15 @@ class TestLightconeFraction:
         wide = uniform_grid(count=1201, extent=24.0)
         fracs = [lightcone_fraction(e, band=0.5, grid=wide) for e in (0.0, 1.0, 2.0, 4.0)]
         assert np.all(np.diff(fracs) > 0)
+
+    def test_mesh_that_underflows_everywhere(self):
+        # psi_0 at (+-1e200, +-1e200) underflows: there is no mass to divide by
+        g = uniform_grid(count=2, extent=1e200)
+        with pytest.raises(GridResolutionError, match="use more nodes"):
+            lightcone_fraction(0.0, grid=g)
+        for variable in ("z", "qz"):
+            with pytest.raises(GridResolutionError, match="use more nodes"):
+                longitudinal_density(0.0, variable, grid=g)
 
 
 def _full_mesh_density(eta, variable, grid):
@@ -179,6 +188,94 @@ class TestBlockedReductions:
         assert peak < 8e6
 
 
+def _unrestricted_fraction(eta, band, grid):
+    """lightcone_fraction's blocked loop over every row: the reference for its live band."""
+    z, w = grid.nodes[:, None], grid.weights
+    total, inside = np.empty(grid.count), np.empty(grid.count)
+    for cols in blocks(grid.count, MESH_BLOCK_ROWS):
+        t = grid.nodes[None, cols]
+        rho = covariant.boosted_wavefunction(z, t, eta) ** 2
+        V = (z - t) / math.sqrt(2.0)
+        total[cols] = w @ rho
+        inside[cols] = w @ np.where(np.abs(V) < band, rho, 0.0)
+    return float(inside @ w) / float(total @ w)
+
+
+# checks that np.exp gives exactly +0.0 from -746 down, at any length and alignment
+_EXP_UNDERFLOWS = (
+    "import os\n"
+    "import numpy as np\n"
+    "if os.environ.get('NPY_DISABLE_CPU_FEATURES'):\n"
+    "    from numpy._core._multiarray_umath import __cpu_features__\n"
+    "    assert not __cpu_features__['X86_V4']\n"
+    "x = -np.concatenate([np.linspace(746.0, 760.0, 20001), np.geomspace(746.0, 1e308, 20001),\n"
+    "                     [np.finfo(float).max, np.inf]])\n"
+    "for start in range(8):\n"
+    "    for n in (1, 2, 3, 4, 7, 8, 9, 15, 16, 17, 31, 33, 64, x.size):\n"
+    "        y = np.exp(x[start:start + n])\n"
+    "        assert not (y != 0.0).any() and not np.signbit(y).any(), (start, n)\n"
+    "y = np.exp(x.reshape(1, -1)[:, ::3] + np.zeros((3, 1)))\n"
+    "assert not (y != 0.0).any() and not np.signbit(y).any()\n"
+    "assert all(float(np.exp(v)) == 0.0 for v in x[::997])\n"
+)
+
+
+def _has_x86_v4():
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_features__
+    return bool(__cpu_features__.get("X86_V4"))
+
+
+class TestLiveBand:
+    """lightcone_fraction evaluates only the rows where |psi_eta|^2 can be nonzero."""
+
+    @pytest.mark.parametrize("count", [2, 3, 63, 64, 65, 129, 801, 1201])
+    @pytest.mark.parametrize("eta", [-4.0, -2.0, -0.5, 0.0, 1.0, 2.5, 4.0])
+    def test_bits_of_every_row(self, eta, count):
+        # extent 8 resolves |eta| <= 2; at 24 the band leaves rows out from eta = 1
+        g = uniform_grid(count=count, extent=8.0 if abs(eta) < 1.0 else 24.0)
+        for band in (0.0, 0.5, 1e9, math.inf):
+            got = lightcone_fraction(eta, band=band, grid=g)
+            assert repr(got) == repr(_unrestricted_fraction(eta, band, g)), band
+
+    def test_band_engages_at_verify_input(self, monkeypatch):
+        calls = []
+        full = covariant.boosted_wavefunction
+
+        def recording(z, t, eta):
+            calls.append((np.ravel(z), np.ravel(t)))
+            return full(z, t, eta)
+
+        monkeypatch.setattr(covariant, "boosted_wavefunction", recording)
+        g = uniform_grid(count=1201, extent=24.0)
+        lightcone_fraction(4.0, band=0.5, grid=g)
+        assert 0 < sum(z.size * t.size for z, t in calls) <= 0.4 * 1201**2
+        # every row left out is one where psi's exponent -e^eta (z - t)^2 / 4 is below -746
+        edge = 2.0 * math.sqrt(746.0 * math.exp(-4.0))
+        assert sum(t.size for _, t in calls) == g.count
+        for z, t in calls:
+            left_out = g.nodes[(g.nodes < z[0]) | (g.nodes > z[-1])]
+            assert (np.abs(left_out[:, None] - t[None, :]) > edge).all()
+
+    @pytest.mark.parametrize(
+        "disabled",
+        [
+            None,
+            pytest.param("X86_V4 AVX512_ICL AVX512_SPR", marks=pytest.mark.skipif(
+                not _has_x86_v4(), reason="numpy does not dispatch X86_V4 on this host")),
+        ],
+    )
+    def test_exp_underflows_to_positive_zero(self, disabled):
+        # the premise of the band: rows whose exponent is below -746 are exactly +0.0
+        env = dict(os.environ)
+        env.pop("NPY_DISABLE_CPU_FEATURES", None)
+        if disabled:
+            env["NPY_DISABLE_CPU_FEATURES"] = disabled
+        subprocess.run([sys.executable, "-c", _EXP_UNDERFLOWS], env=env, timeout=120, check=True)
+
+
 class TestModelDensity:
     # 1/sqrt(pi) to 60 digits, for references in decimal arithmetic
     INV_SQRT_PI = Decimal("0.564189583547756286948079451560772585844050629328998856844086")
@@ -201,14 +298,52 @@ class TestModelDensity:
             want = self.reference(eta, x)
             assert abs(got - want) <= 2 * math.ulp(want), (x, got, want)
 
+    def assert_within_budget(self, eta, x, got):
+        # y = x^2/cosh(eta) carries about 7 rounding errors (cosh, root, quotient, square)
+        # and np.exp turns them into y times as many in the result; 8 more cover np.exp,
+        # the root of pi cosh(eta) and the division
+        want = self.reference(eta, x)
+        y = (x / math.sqrt(math.cosh(eta))) ** 2
+        assert abs(got - want) <= (8 + 7 * y) * math.ulp(want), (x, got, want)
+
     @pytest.mark.parametrize("eta", [0.0, 0.5, -3.0, 100.0, -709.0, 709.0, 709.33, -709.33])
     def test_bits_unchanged_inside_the_range_of_pi_cosh(self, eta):
         c = math.cosh(eta)
         assert math.pi * c < math.inf
         coords = np.linspace(-8.0 * math.sqrt(c), 8.0 * math.sqrt(c), 101)
         with np.errstate(over="ignore"):  # the outer squares overflow from |eta| near 705
+            square = coords * coords
             want = np.exp(-coords * coords / c) / math.sqrt(math.pi * c)
+        got = model_density(eta, coords)
+        kept = np.isfinite(square)
+        assert got[kept].tobytes() == want[kept].tobytes()
+        # where x*x overflows, the value is e^-64 times the peak, not 0
+        for x, value in zip(coords[~kept], got[~kept]):
+            self.assert_within_budget(eta, x, value)
+
+    @pytest.mark.parametrize("eta", [0.0, -2.5, 30.0, 400.0, -650.0, 705.0, -707.0, 707.0])
+    def test_bits_unchanged_where_the_square_is_finite(self, eta):
+        # out to 30 widths, and out to 1e154 where those squares would overflow
+        c = math.cosh(eta)
+        half = min(30.0 * math.sqrt(c / 2.0), 1e154)
+        coords = np.concatenate([np.linspace(-half, half, 4001), [-0.0, 5e-324, 1e-200]])
+        assert np.isfinite(coords * coords).all()
+        want = np.exp(-coords * coords / c) / math.sqrt(math.pi * c)
         assert model_density(eta, coords).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("eta", [707.0, -707.6, 708.5, 709.33, 710.0, -710.47])
+    def test_where_the_square_overflows(self, eta):
+        c = math.cosh(eta)
+        # from sqrt(max float), where x*x overflows, out to x^2/c = 324, a value near 1e-296
+        coords = np.geomspace(1.35e154, math.sqrt(c) * 18.0, 41)
+        coords = np.concatenate([coords, -coords])
+        with np.errstate(over="ignore"):
+            assert np.isinf(coords * coords).all()
+        got = model_density(eta, coords)
+        assert (got > 0.0).all()
+        for x, value in zip(coords, got):
+            self.assert_within_budget(eta, x, value)
+        assert model_density(eta, [math.inf, -math.inf]).tolist() == [0.0, 0.0]
 
     def test_export_at_eta_710_is_not_zero(self, tmp_path):
         path = tmp_path / "marginal.csv"
