@@ -71,8 +71,6 @@ def cmd_entangle(args) -> int:
 
     # every check that can reject the input runs before numpy loads; once their guards
     # pass, the two arrays cannot raise, so the scalars may run ahead of them
-    if args.kmax < 0:
-        raise ValueError(f"--kmax must be nonnegative, got {args.kmax}")
     entanglement._check_schmidt(args.eta, args.kmax)
     entanglement._check_spectrum(args.eta, args.kmax)
     x, temperature = entanglement._thermal_map(args.eta, entanglement.check_omega(args.omega))
@@ -300,8 +298,6 @@ def main(argv=None) -> int:
             parser.error("--steps must be at least 1")
         if args.start > args.stop:
             parser.error("--start must not exceed --stop")
-    if args.command == "boost" and args.grid < 2:
-        parser.error("--grid must be at least 2")
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -35,7 +35,7 @@ import math
 import numpy as np
 
 from .floats import COSH_ETA_MAX, EXP_ETA_MAX, as_float, check_eta, nonfinite_error, record
-from .numerics import QuadratureGrid, check_resolution, default_grid
+from .numerics import QuadratureGrid, check_resolution
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -141,8 +141,7 @@ def fourier_consistency(eta: float, grid: QuadratureGrid | None = None) -> float
     momentum_wavefunction. The imaginary part (zero by symmetry) is included
     in the reported deviation.
     """
-    g = grid if grid is not None else default_grid()
-    check_resolution(eta, g)
+    eta, g = check_resolution(eta, grid)
     q = np.linspace(-3.0, 3.0, 21)
     psi = boosted_wavefunction(g.nodes[:, None], g.nodes[None, :], eta)
     # separable kernel: F[a, b] = sum_{jk} e^{i q_a z_j} psi[j,k] e^{-i q_b t_k} w_j w_k

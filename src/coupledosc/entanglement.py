@@ -37,7 +37,7 @@ import math
 import sys
 from typing import TYPE_CHECKING
 
-from .floats import COSH_ETA_MAX, EXP_ETA_MAX, as_float, check_eta, record
+from .floats import COSH_ETA_MAX, EXP_ETA_MAX, as_float, check_count, check_eta, record
 
 if TYPE_CHECKING:
     import numpy as np
@@ -111,51 +111,42 @@ def _ln_coth_half(a: float) -> float:
     return math.log(2.0) - math.log(a) - (math.log(math.tanh(h) / h) if h > 1e-8 else 0.0)
 
 
-def _check_k_max(k_max: int) -> None:
-    if k_max < 0:
-        raise ValueError(f"k_max must be nonnegative, got {k_max}")
-    if k_max > K_MAX_CAP:
-        raise ValueError(f"k_max must be at most {K_MAX_CAP}, got {k_max}")
-
-
-def _check_schmidt(eta: float, k_max: int) -> float:
-    """schmidt_coefficients' guard: eta as a float; ValueError for a non-finite eta or a
-    bad k_max, EtaRangeError where cosh(eta/2) overflows."""
+def _check_schmidt(eta: float, k_max: int) -> tuple[float, int]:
+    """schmidt_coefficients' guard: (eta, k_max) as a float and an int; ValueError for a
+    non-finite eta or a bad k_max, EtaRangeError where cosh(eta/2) overflows."""
     eta = check_eta(eta, 2.0 * COSH_ETA_MAX, "the Schmidt coefficients")
-    _check_k_max(k_max)
-    return eta
+    return eta, check_count(k_max, "k_max", 0, K_MAX_CAP)
 
 
-def _check_spectrum(eta: float, k_max: int) -> float:
-    """reduced_state's guard: eta as a float; ValueError for a non-finite eta or a bad
-    k_max, EtaRangeError where cosh^2(eta/2) overflows."""
+def _check_spectrum(eta: float, k_max: int) -> tuple[float, int]:
+    """reduced_state's guard: (eta, k_max) as a float and an int; ValueError for a
+    non-finite eta or a bad k_max, EtaRangeError where cosh^2(eta/2) overflows."""
     # cosh^2(eta/2) ~ e^{|eta|}/4
     eta = check_eta(eta, EXP_ETA_MAX + math.log(4.0), "the eigenvalues p_k")
-    _check_k_max(k_max)
-    return eta
+    return eta, check_count(k_max, "k_max", 0, K_MAX_CAP)
 
 
 def schmidt_coefficients(eta: float, k_max: int = 64) -> FockExpansion:
     """Schmidt coefficients c_k = tanh^k(eta/2)/cosh(eta/2) up to k_max."""
-    eta = _check_schmidt(eta, k_max)
+    eta, k_max = _check_schmidt(eta, k_max)
     import numpy as np
 
     t = math.tanh(eta / 2.0)
     coeffs = t ** np.arange(k_max + 1) / math.cosh(eta / 2.0)
     coeffs.flags.writeable = False
     tail = math.tanh(abs(eta) / 2.0) ** (2 * (k_max + 1))
-    return FockExpansion(eta=eta, k_max=int(k_max), coefficients=coeffs, tail=tail)
+    return FockExpansion(eta=eta, k_max=k_max, coefficients=coeffs, tail=tail)
 
 
 def reduced_state(eta: float, k_max: int = 64) -> ReducedState:
     """Eigenvalues p_k of the reduced density, a geometric distribution in k."""
-    eta = _check_spectrum(eta, k_max)
+    eta, k_max = _check_spectrum(eta, k_max)
     import numpy as np
 
     t2 = math.tanh(abs(eta) / 2.0) ** 2
     p = t2 ** np.arange(k_max + 1) / math.cosh(eta / 2.0) ** 2
     p.flags.writeable = False
-    return ReducedState(eta=eta, k_max=int(k_max), eigenvalues=p, tail=t2 ** (k_max + 1))
+    return ReducedState(eta=eta, k_max=k_max, eigenvalues=p, tail=t2 ** (k_max + 1))
 
 
 def purity(eta: float) -> float:

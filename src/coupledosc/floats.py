@@ -1,14 +1,16 @@
 """Float limits, input guards and float text: the part of the core that needs only math.
 
-Every module that takes an eta or builds a table checks it here, and every float the
-package writes as text has the format of format_floats. check_eta is the one eta guard:
-each closed form passes it the |eta| where the form overflows, before checking any other
-argument. The record decorator makes the package's frozen result types without the
-dataclasses module. Importing this module loads no numpy, so the closed-form paths
-(entanglement's scalar functions and the sweep command) start without it.
+Every module that takes an eta, a count or builds a table checks it here, and every float
+the package writes as text has the format of format_floats. check_eta is the one eta
+guard: each closed form passes it the |eta| where the form overflows, before checking any
+other argument. check_count is the one count guard: every truncation order, node count
+and row count passes it. The record decorator makes the package's frozen result types
+without the dataclasses module. Importing this module loads no numpy, so the closed-form
+paths (entanglement's scalar functions and the sweep command) start without it.
 """
 
 import math
+import operator
 import sys
 
 # |eta| beyond which math.cosh(eta) and math.exp(eta) overflow
@@ -41,6 +43,25 @@ def check_eta(eta, limit: float = math.inf, form: str = "") -> float:
         usable = math.floor(limit * 100.0) / 100.0
         raise EtaRangeError(f"|eta| = {abs(eta):g} overflows {form}; the usable range is |eta| <= {usable:g}")
     return eta
+
+
+def check_count(value, name: str, low: int, high: float = math.inf) -> int:
+    """``value`` as an int; ValueError naming ``name`` unless it is an integer in [low, high].
+
+    An int, a numpy integer or an integral float (64.0 is 64) passes; a bool, a fractional
+    or non-finite float and any other type do not.
+    """
+    try:
+        count = operator.index(value)  # an int or a numpy integer, but a bool is an int too
+    except TypeError:
+        count = int(value) if isinstance(value, float) and value.is_integer() else None
+    if count is None or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if count < low:
+        raise ValueError(f"{name} must be {'nonnegative' if low == 0 else f'at least {low}'}, got {count}")
+    if count > high:
+        raise ValueError(f"{name} must be at most {high}, got {count}")
+    return count
 
 
 def nonfinite_error(form: str, inputs: dict, remedy: str) -> ValueError:

@@ -18,8 +18,8 @@ The reduced-density oracle tabulates a two-argument wavefunction on the grid
 and contracts one argument with the quadrature weights; all spectral claims
 (Schmidt coefficients, purity, entropy) are validated against it. Every
 array table the package writes goes through write_csv; its renderer and the
-sweep format floats with floats.format_floats. The eta and table-size guards
-live in floats, which needs no numpy.
+sweep format floats with floats.format_floats. The eta, count and table-size
+guards live in floats, which needs no numpy.
 
 The squeezed Gaussian has two routes. squeezed_gaussian, in x1 +- x2, serves
 oscillator.ground_state and the oracle; covariant.boosted_wavefunction writes
@@ -35,7 +35,7 @@ from typing import Callable
 import numpy as np
 
 from . import floats
-from .floats import EXP_ETA_MAX, check_eta, check_table_size, format_floats, record
+from .floats import EXP_ETA_MAX, check_count, check_eta, check_table_size, format_floats, record
 
 DEFAULT_COUNT = 401
 DEFAULT_EXTENT = 8.0
@@ -89,13 +89,13 @@ class QuadratureGrid:
 def uniform_grid(count: int = DEFAULT_COUNT, extent: float = DEFAULT_EXTENT) -> QuadratureGrid:
     """Build the trapezoid grid used by every quadrature oracle and the boost mesh.
 
-    ValueError unless the extent and the spacing 2*extent/(count-1) are both
-    finite and positive, and unless the count x count mesh fits MAX_TABLE_VALUES.
+    ValueError unless count is an integer of at least 2, the extent and the spacing
+    2*extent/(count-1) are both finite and positive, and the count x count mesh fits
+    MAX_TABLE_VALUES.
     """
-    if count < 2:
-        raise ValueError(f"grid needs at least 2 nodes, got {count}")
+    count = check_count(count, "grid count", 2)
     side = math.isqrt(floats.MAX_TABLE_VALUES)  # the cap check_table_size reads, patched or not
-    check_table_size(int(count) ** 2, f"a {count} x {count} mesh", f"use at most {side} grid nodes")
+    check_table_size(count ** 2, f"a {count} x {count} mesh", f"use at most {side} grid nodes")
     h = 2.0 * extent / (count - 1)
     if not 0.0 < h < math.inf:
         raise ValueError(
@@ -105,7 +105,7 @@ def uniform_grid(count: int = DEFAULT_COUNT, extent: float = DEFAULT_EXTENT) -> 
     nodes = np.linspace(-extent, extent, count)
     weights = np.full(count, h)
     weights[0] = weights[-1] = 0.5 * h
-    return QuadratureGrid(_readonly(nodes), _readonly(weights), float(extent), int(count))
+    return QuadratureGrid(_readonly(nodes), _readonly(weights), float(extent), count)
 
 
 @lru_cache(maxsize=1)
@@ -124,8 +124,7 @@ def hermite_fn(k: int, x):
     Row k of hermite_basis on the flattened points, so both share one
     recurrence and its size cap. Stable and accurate for k up to at least 128.
     """
-    if not isinstance(k, (int, np.integer)) or isinstance(k, bool):
-        raise ValueError(f"order k must be an integer, got {k!r}")
+    k = check_count(k, "k", 0)
     xa = np.asarray(x, dtype=float)
     out = hermite_basis(k, xa.ravel())[k].reshape(xa.shape)
     return out if xa.ndim else float(out)
@@ -134,13 +133,12 @@ def hermite_fn(k: int, x):
 def hermite_basis(k_max: int, x: np.ndarray) -> np.ndarray:
     """Stack phi_0..phi_{k_max} on the points x; returns shape (k_max+1, len(x)).
 
-    ValueError, before anything is allocated, when the table would hold more
-    than MAX_TABLE_VALUES floats.
+    ValueError, before anything is allocated, unless k_max is a nonnegative integer
+    and the table holds at most MAX_TABLE_VALUES floats.
     """
-    if k_max < 0:
-        raise ValueError(f"k_max must be nonnegative, got {k_max}")
+    k_max = check_count(k_max, "k_max", 0)
     xa = np.asarray(x, dtype=float)
-    rows = int(k_max) + 1
+    rows = k_max + 1
     check_table_size(rows * xa.size, f"a Hermite table of (k_max + 1) x points = {rows} x {xa.size}",
                      "lower k_max or pass fewer points")
     if not np.all(np.isfinite(xa)):
@@ -150,7 +148,7 @@ def hermite_basis(k_max: int, x: np.ndarray) -> np.ndarray:
     # Only a call that has such an x pays for the clipped copy.
     if xa.size and max(-xa.min(), xa.max()) > 1e154:
         xa = np.clip(xa, -1e154, 1e154)
-    out = np.empty((k_max + 1, xa.size))
+    out = np.empty((rows, xa.size))
     out[0] = np.pi ** -0.25 * np.exp(-0.5 * xa * xa)
     if k_max >= 1:
         out[1] = np.sqrt(2.0) * xa * out[0]
@@ -240,17 +238,19 @@ def squeezed_gaussian(x1, x2, eta: float):
     return out if out.ndim else float(out)
 
 
-def check_resolution(eta: float, grid: QuadratureGrid) -> float:
-    """eta as a float; GridResolutionError unless the widest principal-axis standard
-    deviation of |psi_eta|^2, sqrt(e^{|eta|}/2), is at most extent/4."""
+def check_resolution(eta: float, grid: QuadratureGrid | None = None) -> tuple[float, QuadratureGrid]:
+    """(eta as a float, the grid, default_grid() when ``grid`` is None); GridResolutionError
+    unless the widest principal-axis standard deviation of |psi_eta|^2, sqrt(e^{|eta|}/2),
+    is at most extent/4. The one owner of the default grid for a function of eta."""
     eta = check_eta(eta, EXP_ETA_MAX, "the state width sqrt(e^|eta|/2)")
+    grid = grid if grid is not None else default_grid()
     sigma_max = math.sqrt(math.exp(abs(eta)) / 2.0)
     if sigma_max > grid.extent / 4.0:
         raise GridResolutionError(
             f"state width {sigma_max:.3g} exceeds extent/4 = {grid.extent / 4.0:.3g}; "
             "use a wider grid"
         )
-    return eta
+    return eta, grid
 
 
 def oracle_reduced_density(eta: float, grid: QuadratureGrid | None = None) -> DensityKernel:
@@ -270,8 +270,7 @@ def oracle_reduced_density(eta: float, grid: QuadratureGrid | None = None) -> De
         raise GridResolutionError(
             f"|eta| = {abs(eta):g} beyond supported range {MAX_ORACLE_ETA:g}"
         )
-    g = grid if grid is not None else default_grid()
-    check_resolution(eta, g)
+    eta, g = check_resolution(eta, grid)
     psi = squeezed_gaussian(g.nodes[:, None], g.nodes[None, :], eta)
     a = psi * np.sqrt(g.weights)
     return DensityKernel(_readonly(a @ a.T), g)

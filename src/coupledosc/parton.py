@@ -34,7 +34,7 @@ import warnings
 from typing import TYPE_CHECKING
 
 from .entanglement import width
-from .floats import COSH_ETA_MAX, as_float, check_eta, check_table_size, record
+from .floats import COSH_ETA_MAX, as_float, check_count, check_eta, check_table_size, record
 
 if TYPE_CHECKING:
     import numpy as np
@@ -104,10 +104,9 @@ def longitudinal_density(
     import numpy as np
 
     from . import covariant
-    from .numerics import MESH_BLOCK_ROWS, GridResolutionError, blocks, check_resolution, default_grid
+    from .numerics import MESH_BLOCK_ROWS, GridResolutionError, blocks, check_resolution
 
-    g = grid if grid is not None else default_grid()
-    eta = check_resolution(eta, g)
+    eta, g = check_resolution(eta, grid)
     wavefunction = covariant.boosted_wavefunction if variable == "z" else covariant.momentum_wavefunction
     b = g.nodes[None, :]
     dens = np.empty(g.count)
@@ -150,10 +149,9 @@ def lightcone_fraction(eta: float, band: float = 0.5, grid: "QuadratureGrid | No
     import numpy as np
 
     from . import covariant
-    from .numerics import MESH_BLOCK_ROWS, GridResolutionError, blocks, check_resolution, default_grid
+    from .numerics import MESH_BLOCK_ROWS, GridResolutionError, blocks, check_resolution
 
-    g = grid if grid is not None else default_grid()
-    eta = check_resolution(eta, g)
+    eta, g = check_resolution(eta, grid)
     # 760 leaves a rounding margin over 746; inf when e^-eta is huge, so every row is live
     reach = 2.0 * math.sqrt(760.0 * math.exp(-eta))
     w = g.weights
@@ -195,10 +193,10 @@ def model_density(eta: float, coords) -> "np.ndarray":
 def export_gaussian_pdf(eta: float, n: int, path) -> "np.ndarray":
     """Write the closed-form marginal on n points spanning +-6 widths.
 
-    CSV columns (coordinate, model_density); returns the coordinates used.
+    CSV columns (coordinate, model_density) to ``path``, a path or an open text file;
+    returns the coordinates used.
     """
-    if n < 2:
-        raise ValueError(f"need at least 2 points, got {n}")
+    n = check_count(n, "n", 2)
     check_table_size(n, f"a marginal of n = {n} points", "use fewer points")
     eta = check_eta(eta)
     half = 6.0 * width(eta)
@@ -206,7 +204,7 @@ def export_gaussian_pdf(eta: float, n: int, path) -> "np.ndarray":
 
     from .numerics import write_csv
 
-    coords = np.linspace(-half, half, int(n))
+    coords = np.linspace(-half, half, n)
     dens = model_density(eta, coords)
     write_csv(path, ("coordinate", "model_density"), (coords, dens))
     return coords

@@ -143,22 +143,14 @@ def _max_abs(a, b) -> float:
     return float(np.max(np.abs(a - b)))
 
 
-_KERNELS: dict = {}
-
-
+@functools.cache
 def _kernel(eta: float):
-    if eta not in _KERNELS:
-        _KERNELS[eta] = oracle_reduced_density(eta)
-    return _KERNELS[eta]
+    return oracle_reduced_density(eta)
 
 
-_MARGINALS: dict = {}
-
-
+@functools.cache
 def _marginal(eta: float, variable: str):
-    if (eta, variable) not in _MARGINALS:
-        _MARGINALS[eta, variable] = parton.longitudinal_density(eta, variable)
-    return _MARGINALS[eta, variable]
+    return parton.longitudinal_density(eta, variable)
 
 
 def _ground_state_mesh(eta: float) -> np.ndarray:
@@ -555,11 +547,9 @@ def check_lightcone_concentration():
 
 @check(1e-4, "exported eta=4 marginal integrates to 1")
 def check_export_area():
-    with tempfile.TemporaryDirectory() as td:
-        path = Path(td) / "marginal.csv"
-        parton.export_gaussian_pdf(4.0, 101, path)
-        rows = path.read_text(encoding="utf-8").splitlines()[1:]
-        data = np.array([[float(f) for f in r.split(",")] for r in rows])
+    buf = io.StringIO()
+    parton.export_gaussian_pdf(4.0, 101, buf)
+    data = np.array([[float(f) for f in r.split(",")] for r in buf.getvalue().splitlines()[1:]])
     area = float(np.sum(0.5 * (data[1:, 1] + data[:-1, 1]) * np.diff(data[:, 0])))
     return abs(area - 1.0)
 

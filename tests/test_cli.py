@@ -108,7 +108,7 @@ class TestEntangle:
 
     def test_negative_kmax_exits_1(self, capsys):
         assert run(["entangle", "--eta=1", "--kmax=-1"]) == 1
-        assert capsys.readouterr() == ("", "coupledosc: error: --kmax must be nonnegative, got -1\n")
+        assert capsys.readouterr() == ("", "coupledosc: error: k_max must be nonnegative, got -1\n")
 
     def test_overflowing_temperature_exits_1(self, capsys):
         assert run(["entangle", "--eta=5", "--omega=1e308"]) == 1
@@ -146,14 +146,14 @@ class TestEntangle:
             (["--eta=1500", "--kmax=200000"],
              "|eta| = 1500 overflows the Schmidt coefficients; the usable range is |eta| <= 1420.95"),
             (["--eta=800", "--kmax=200000"], "k_max must be at most 100000, got 200000"),
-            (["--eta=nan", "--kmax=-1"], "--kmax must be nonnegative, got -1"),
+            (["--eta=nan", "--kmax=-1"], "eta must be finite"),
             (["--eta=800", "--omega=-1"],
              "|eta| = 800 overflows the eigenvalues p_k; the usable range is |eta| <= 711.16"),
             (["--eta=0", "--omega=-1"], "omega must be positive, got -1.0"),
             (["--eta=711", "--omega=2"],
              "T = omega/x overflows a float at |eta| = 711 (x = 6.58693e-309); "
              "omega must be at most 1.18413, got 2"),
-            (["--eta=711", "--kmax=-1"], "--kmax must be nonnegative, got -1"),
+            (["--eta=711", "--kmax=-1"], "k_max must be nonnegative, got -1"),
         ],
     )
     def test_first_fault_is_reported(self, argv, error, capsys):
@@ -179,6 +179,19 @@ class TestBoost:
         run(["boost", "--eta", "0.8", "--grid", "7", "--extent", "3", "--out", str(a)])
         run(["boost", "--eta", "0.8", "--grid", "7", "--extent", "3", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["boost", "--eta=1", "--out={out}"], ["entangle", "--eta=1", "--kmax=2", "--kernel-csv={out}"]],
+        ids=["boost", "entangle-kernel"],
+    )
+    @pytest.mark.parametrize("grid", ["1", "0", "-5"])
+    def test_grid_below_two_exits_1(self, argv, grid, tmp_path, capsys):
+        # one guard, one exit code and one message for --grid in both commands
+        out = tmp_path / "mesh.csv"
+        assert run([a.format(out=out) for a in argv] + [f"--grid={grid}"]) == 1
+        assert capsys.readouterr().err == f"coupledosc: error: grid count must be at least 2, got {grid}\n"
+        assert not out.exists()
 
 
 class TestExtent:

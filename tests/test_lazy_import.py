@@ -196,6 +196,30 @@ def test_small_overlay_loads_numpy_after_its_rows_pass(tmp_path):
     assert out.stderr.split() == [str(rows), str(rows), "False"]
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        ("entanglement.schmidt_coefficients(1.0, 2.5)", "k_max must be an integer, got 2.5"),
+        ("entanglement.reduced_state(1.0, float('nan'))", "k_max must be an integer, got nan"),
+        ("parton.export_gaussian_pdf(0.5, 2.5, 'p.csv')", "n must be an integer, got 2.5"),
+    ],
+    ids=["schmidt", "reduced_state", "export"],
+)
+def test_count_guard_runs_without_numpy(call, message, tmp_path):
+    script = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from coupledosc import entanglement, parton\n"
+        "try:\n"
+        f"    {call}\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
+    )
+    out = _python("-c", script, cwd=tmp_path)
+    assert (out.returncode, out.stdout, out.stderr) == (0, message + "\n", "")
+    assert not (tmp_path / "p.csv").exists()
+
+
 def test_numpy_commands_still_need_numpy():
     # the block is real: a command that uses numpy fails under it
     blocked = _python("-c", MAIN, "block", "entangle", "--eta=1")

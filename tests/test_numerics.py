@@ -1,4 +1,6 @@
+import io
 import math
+import re
 import warnings
 
 import numpy as np
@@ -292,7 +294,7 @@ class TestEtaRange:
             ),
             (covariant.boost_matrix, 1420.95, 1420.96),
             pytest.param(
-                lambda e: check_resolution(e, uniform_grid(3, 1e200)), 709.78, 709.79,
+                lambda e: check_resolution(e, uniform_grid(3, 1e200))[0], 709.78, 709.79,
                 id="check_resolution-709.78-709.79",
             ),
         ],
@@ -401,7 +403,7 @@ class TestEtaRange:
             pytest.param(lambda e: numerics.squeezed_gaussian(0.5, 0.25, e), floats.EXP_ETA_MAX,
                          "|eta| = 709.783 overflows psi_eta; the usable range is |eta| <= 709.78",
                          id="squeezed_gaussian"),
-            pytest.param(lambda e: check_resolution(e, uniform_grid(3, 1e200)), floats.EXP_ETA_MAX,
+            pytest.param(lambda e: check_resolution(e, uniform_grid(3, 1e200))[0], floats.EXP_ETA_MAX,
                          "|eta| = 709.783 overflows the state width sqrt(e^|eta|/2); "
                          "the usable range is |eta| <= 709.78",
                          id="check_resolution"),
@@ -443,6 +445,88 @@ class TestEtaRange:
 
     def test_is_a_value_error(self):
         assert issubclass(EtaRangeError, ValueError)
+
+
+class TestCountGuard:
+    """floats.check_count is the one guard of every order and node or row count."""
+
+    @pytest.mark.parametrize(
+        "value, expected",
+        [(3, 3), (np.int64(3), 3), (np.uint8(4), 4), (64.0, 64), (np.float64(64.0), 64), (-0.0, 0),
+         (10**400, 10**400)],
+        ids=["int", "int64", "uint8", "float", "float64", "negative-zero", "huge-int"],
+    )
+    def test_integers_pass_as_int(self, value, expected):
+        count = floats.check_count(value, "n", 0)
+        assert count == expected and type(count) is int
+
+    @pytest.mark.parametrize(
+        "value",
+        [True, False, np.True_, 2.5, np.float64(2.5), math.nan, math.inf, -math.inf, "3", None, 3 + 0j],
+        ids=["True", "False", "np.True_", "2.5", "float64-2.5", "nan", "inf", "-inf", "str", "None",
+             "complex"],
+    )
+    def test_non_integers_raise_naming_the_argument(self, value):
+        with pytest.raises(ValueError, match=rf"^k_max must be an integer, got {re.escape(repr(value))}$"):
+            floats.check_count(value, "k_max", 0)
+
+    @pytest.mark.parametrize(
+        "value, low, high, message",
+        [
+            (-1, 0, math.inf, "k_max must be nonnegative, got -1"),
+            (1, 2, math.inf, "k_max must be at least 2, got 1"),
+            (-3.0, 2, math.inf, "k_max must be at least 2, got -3"),
+            (100_001, 0, 100_000, "k_max must be at most 100000, got 100001"),
+        ],
+    )
+    def test_range(self, value, low, high, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            floats.check_count(value, "k_max", low, high)
+        assert floats.check_count(low, "k_max", low, high) == low
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: entanglement.schmidt_coefficients(1.0, 2.5), "k_max must be an integer, got 2.5"),
+            (lambda: entanglement.reduced_state(1.0, 2.5), "k_max must be an integer, got 2.5"),
+            (lambda: entanglement.purity_series(1.0, 2.5), "k_max must be an integer, got 2.5"),
+            (lambda: entanglement.schmidt_coefficients(1.0, True), "k_max must be an integer, got True"),
+            (lambda: entanglement.schmidt_coefficients(1.0, math.nan), "k_max must be an integer, got nan"),
+            (lambda: entanglement.reduced_state(1.0, math.nan), "k_max must be an integer, got nan"),
+            (lambda: hermite_basis(2.5, np.zeros(3)), "k_max must be an integer, got 2.5"),
+            (lambda: hermite_basis(True, np.zeros(3)), "k_max must be an integer, got True"),
+            (lambda: hermite_fn(2.5, 0.0), "k must be an integer, got 2.5"),
+            (lambda: hermite_fn(False, 0.0), "k must be an integer, got False"),
+            (lambda: uniform_grid(3.5), "grid count must be an integer, got 3.5"),
+            (lambda: uniform_grid(math.nan), "grid count must be an integer, got nan"),
+            (lambda: parton.export_gaussian_pdf(0.5, 2.5, io.StringIO()), "n must be an integer, got 2.5"),
+        ],
+        ids=["schmidt", "reduced", "purity_series", "schmidt-bool", "schmidt-nan", "reduced-nan",
+             "basis", "basis-bool", "hermite_fn", "hermite_fn-bool", "grid", "grid-nan", "export"],
+    )
+    def test_fractional_counts_raise(self, call, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
+
+    def test_integral_floats_and_numpy_integers_work(self):
+        x = np.linspace(-3.0, 3.0, 7)
+        for k in (2.0, np.int64(2), np.float64(2.0)):
+            exp_, rs = entanglement.schmidt_coefficients(1.0, k), entanglement.reduced_state(1.0, k)
+            exp2, rs2 = entanglement.schmidt_coefficients(1.0, 2), entanglement.reduced_state(1.0, 2)
+            assert (exp_.k_max, rs.k_max, exp_.tail, rs.tail) == (2, 2, exp2.tail, rs2.tail)
+            assert type(exp_.k_max) is type(rs.k_max) is int
+            np.testing.assert_array_equal(exp_.coefficients, exp2.coefficients)
+            np.testing.assert_array_equal(rs.eigenvalues, rs2.eigenvalues)
+            np.testing.assert_array_equal(hermite_basis(k, x), hermite_basis(2, x))
+            np.testing.assert_array_equal(hermite_fn(k, x), hermite_fn(2, x))
+        grid = uniform_grid(3.0)
+        assert grid.count == 3 and type(grid.count) is int
+        np.testing.assert_array_equal(grid.nodes, uniform_grid(3).nodes)
+        np.testing.assert_array_equal(uniform_grid(np.int64(5)).nodes, uniform_grid(5).nodes)
+        a, b = io.StringIO(), io.StringIO()
+        parton.export_gaussian_pdf(0.5, 5.0, a)
+        parton.export_gaussian_pdf(0.5, np.int64(5), b)
+        assert a.getvalue() == b.getvalue() and a.getvalue().count("\n") == 6
 
 
 @floats.record

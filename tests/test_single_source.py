@@ -54,6 +54,27 @@ def test_written_once(pattern, home):
     assert sites(pattern) == {home}
 
 
+# an integer test: isinstance against int or bool, float.is_integer, operator.index
+INTEGER_TEST = re.compile(r"isinstance\([^)]*\b(int|bool|integer)\b|\.is_integer\(|operator\.index\(")
+
+
+def test_integer_test_written_once():
+    # every order, node count and row count goes through the one count guard
+    assert sites(INTEGER_TEST) == {("floats.py", "check_count")}
+
+
+def test_default_grid_for_an_eta_picked_once():
+    # a function of eta that takes a grid leaves the default to check_resolution
+    pickers = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef) and {"eta", "grid"} <= {a.arg for a in node.args.args}:
+                names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+                if "default_grid" in names:
+                    pickers.add((path.name, node.name))
+    assert pickers == {("numerics.py", "check_resolution")}
+
+
 @pytest.mark.parametrize("module", ["numerics.py", "covariant.py", "parton.py"])
 def test_no_meshgrid(module):
     assert "meshgrid" not in (SRC / module).read_text(encoding="utf-8")

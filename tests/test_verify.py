@@ -90,7 +90,7 @@ def test_schmidt_offdiagonal_evaluates_the_ground_state_once(monkeypatch):
 
 
 def test_parton_checks_share_the_marginals(monkeypatch):
-    monkeypatch.setattr(verify, "_MARGINALS", {})
+    verify._marginal.cache_clear()
     calls = count_calls(monkeypatch, parton, "longitudinal_density")
     law, growth = verify.check_marginal_variance_law(), verify.check_width_co_growth()
     assert sorted(calls) == sorted({(e, v) for e in (0.0, 0.5, 1.0, 1.5, 2.0) for v in ("z", "qz")})
