@@ -164,8 +164,9 @@ def _linspace(start: float, stop: float, steps: int) -> array:
 
 def _write_sweep(dest, start: float, stop: float, steps: int, omega: float) -> None:
     from . import entanglement
-    from .floats import check_table_size, format_floats
+    from .floats import check_count, check_table_size, format_floats
 
+    steps = check_count(steps, "steps", 1)
     check_table_size(steps, f"a sweep of --steps={steps} rows", "use fewer steps")
     if not math.isfinite(stop - start):
         raise ValueError(
@@ -293,11 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "sweep":
-        if args.steps < 1:
-            parser.error("--steps must be at least 1")
-        if args.start > args.stop:
-            parser.error("--start must not exceed --stop")
+    if args.command == "sweep" and args.start > args.stop:
+        parser.error("--start must not exceed --stop")
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

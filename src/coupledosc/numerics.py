@@ -45,8 +45,8 @@ MAX_ORACLE_ETA = 6.0
 
 # values per write_csv block, in whole rows of the lead axis. _render's fixed cost of about 60
 # numpy calls is spread over the block, and its ~20 temporaries stay in L2: on a 2 MiB-L2
-# Xeon it takes 700, 180, 130 and 120 ns a value at 128, 1024, 4096 and 16384, then 210 at
-# 65536, once they spill. Bounded memory too: a 401 x 401 mesh writes 10 rows a block
+# Xeon it takes 272, 70, 48 and 46 ns a log-normal value at 128, 1024, 4096 and 16384, then
+# 83 at 65536, once they spill. Bounded memory too: a 401 x 401 mesh writes 10 rows a block
 CSV_BLOCK_ROWS = 4096
 
 # rows (or columns) of an N x N mesh reduced at a time: 64 x 1201 floats is 0.6 MB, inside L2.
@@ -276,9 +276,9 @@ def oracle_reduced_density(eta: float, grid: QuadratureGrid | None = None) -> De
     return DensityKernel(_readonly(a @ a.T), g)
 
 
-# _render lays each value out in a W-byte cell of four little-endian words: the sign and a
-# "0.000" prefix; a "0" and the fifteen digits, among which the dot is placed; "e+dd[d]" and,
-# in the last byte, the delimiter. Unused bytes are NUL, and write_csv drops them.
+# _render lays each value out in a W-byte cell of four little-endian words, held word-major: the
+# sign and a "0.000" prefix; a "0" and the fifteen digits, among which the dot is placed; "e+dd[d]"
+# and, in the last byte, the delimiter. Unused bytes are NUL, and write_csv drops them.
 W = 32
 _WORD = np.dtype("<u8")
 _MINUS = np.uint64(ord("-"))
@@ -348,12 +348,12 @@ def _tables() -> SimpleNamespace:
 
 
 def _cells(text: list) -> np.ndarray:
-    """Strings of at most W - 1 ASCII characters as NUL-padded (len, W) cells."""
-    return np.array(text, dtype=f"S{W}").view(np.uint8).reshape(-1, W)
+    """Strings of at most W - 1 ASCII characters as NUL-padded cells, word-major: (4, len)."""
+    return np.array(text, dtype=f"S{W}").view(_WORD).reshape(-1, 4).T
 
 
 def _render(values: np.ndarray) -> np.ndarray:
-    """The 1-D ``values`` as an (n, W) uint8 array of NUL-padded cells, last byte free.
+    """The 1-D ``values`` as NUL-padded cells, last byte free, word-major: (4, n) words.
 
     Integers are written as %d. Floats are written exactly as format_floats
     writes them: m = |x| 10**(14 - e), e = floor(log10 |x|), is formed in long
@@ -381,25 +381,33 @@ def _render(values: np.ndarray) -> np.ndarray:
     frac = (m - r).astype(float)
     exact &= (r >= 10**14) & (r < 10**15) & (np.abs(frac - 0.5) > _ROUND_MARGIN)
     r += frac > 0.5
-    # the digit region: "0" and r's 15 digits, in groups of four, as two words
-    hi, lo = np.divmod(r, 10**8)
-    g0, g1 = np.divmod(hi, 10**4)
-    g2, g3 = np.divmod(lo, 10**4)
+    # the digit region: "0" and r's 15 digits, in groups g0..g3 of four, as two words
+    hi, mid = r // 10**8, r // 10**4
+    g0 = hi // 10**4
+    g1, g2, g3 = hi - g0 * 10**4, mid - hi * 10**4, r - mid * 10**4
     dig4, dig4_hi, end = t.dig4, t.dig4_hi, t.end
     w1, w2 = dig4[g0] | dig4_hi[g1], dig4[g2] | dig4_hi[g3]
     stop = np.maximum(np.maximum(end[0][g0], end[1][g1]), np.maximum(end[2][g2], end[3][g3]))
     point = t.point[k]
     code = point * 17 + np.maximum(stop, point + 1)
-    cells = np.empty((x.size, 4), _WORD)
-    cells[:, 0] = t.prefix[k] | np.signbit(x) * _MINUS
-    cells[:, 1] = ((w1 >> 8) | (w2 << 56)) & t.moved_lo[code] | w1 & t.kept_lo[code] | t.dot_lo[code]
-    cells[:, 2] = (w2 >> 8) & t.moved_hi[code] | w2 & t.kept_hi[code] | t.dot_hi[code]
-    cells[:, 3] = t.exp[k]
-    cells = cells.view(np.uint8)
+    cells = np.empty((4, x.size), _WORD)
+    cells[0] = t.prefix[k] | np.signbit(x) * _MINUS
+    cells[1] = ((w1 >> 8) | (w2 << 56)) & t.moved_lo[code] | w1 & t.kept_lo[code] | t.dot_lo[code]
+    cells[2] = (w2 >> 8) & t.moved_hi[code] | w2 & t.kept_hi[code] | t.dot_hi[code]
+    cells[3] = t.exp[k]
     inexact = np.flatnonzero(~exact)
     if inexact.size:
-        cells[inexact] = _cells(format_floats(x[inexact].tolist()))
+        cells[:, inexact] = _cells(format_floats(x[inexact].tolist()))
     return cells
+
+
+def _left_justified(cells: np.ndarray) -> np.ndarray:
+    """_render's (4, n) cells, each text moved to its first byte, in the fewest words that keep
+    the last byte of every cell free: a (words, n) array."""
+    text = np.ascontiguousarray(cells.T).view(np.uint8)
+    text = np.take_along_axis(text, np.argsort(text == 0, axis=1, kind="stable"), axis=1)
+    words = np.count_nonzero(text, axis=1).max() // 8 + 1
+    return np.ascontiguousarray(text[:, :8 * words]).view(_WORD).T.copy()
 
 
 def write_csv(dest, header, columns) -> None:
@@ -407,14 +415,14 @@ def write_csv(dest, header, columns) -> None:
 
     ``dest`` is a path (written as UTF-8, LF line endings) or an open text file.
     Rows are rendered and written in blocks of whole lead-axis rows, about
-    CSV_BLOCK_ROWS values to a block. Each block is one (rows, columns, W)
-    uint8 table, filled in place: a column's _render cells go into its slice,
-    a "," or LF into each cell's last byte, one bytes.translate drops the NUL
-    padding, and the block is written as one string. A column smaller than
-    the table, such as a mesh axis passed as a broadcast view of its 1-D
-    nodes, is rendered once up front and its cells gathered into its slice
-    per block; a column passed twice (the same object) is rendered once per
-    block and its slice copied.
+    CSV_BLOCK_ROWS values to a block. Each block is one (words, rows) table,
+    filled in place, in which each column owns whole rows: a full column's
+    four _render rows are copied as they are, a "," or LF is OR-ed into the
+    last byte of each column's last word, and the transposed table, its NUL
+    padding dropped by bytes.translate, is written as one string. A column
+    smaller than the table, such as a mesh axis, is rendered up front into
+    _left_justified cells and gathered into its rows per block; a column
+    passed twice (the same object) is filled once per block and copied.
     """
     if not hasattr(dest, "write"):
         with open(dest, "w", encoding="utf-8", newline="") as fh:
@@ -425,25 +433,31 @@ def write_csv(dest, header, columns) -> None:
     size = math.prod(shape)
 
     def source(a):
-        # (cells rendered up front, their row indices) or (None, the values)
+        # (cells rendered up front, their indices) or (None, the values)
         if a.size < size:
-            return _render(a.ravel()), np.broadcast_to(np.arange(a.size).reshape(a.shape), shape)
+            cells = _left_justified(_render(a.ravel()))
+            return cells, np.broadcast_to(np.arange(a.size).reshape(a.shape), shape)
         return None, np.broadcast_to(a, shape)
 
     first = [next(i for i, c in enumerate(columns) if c is col) for col in columns]
     sources = {j: source(arrays[j]) for j in set(first)}
-    delimiters = np.frombuffer(b"," * (len(columns) - 1) + b"\n", np.uint8)
+    widths = [W // 8 if sources[j][0] is None else len(sources[j][0]) for j in first]
+    ends = np.cumsum(widths)
+    starts = ends - widths
+    delimiters = np.array([ord(",")] * (len(columns) - 1) + [ord("\n")], _WORD) << 56
     lead, row = (shape[0], size // shape[0]) if size else (0, 1)
     dest.write(",".join(header) + "\n")
     for rows in blocks(lead, max(1, CSV_BLOCK_ROWS // row)):
-        table = np.empty(((min(rows.stop, lead) - rows.start) * row, len(columns), W), np.uint8)
+        table = np.empty((ends[-1], (min(rows.stop, lead) - rows.start) * row), _WORD)
         for i, j in enumerate(first):
-            rendered, values = sources[j]
+            cells, values = sources[j]
+            words = table[starts[i]:ends[i]]
             if j < i:
-                table[:, i] = table[:, j]
-            elif rendered is None:
-                table[:, i] = _render(values[rows].ravel())
+                words[...] = table[starts[j]:ends[j]]
+            elif cells is None:
+                words[...] = _render(values[rows].ravel())
             else:
-                table[:, i] = np.take(rendered, values[rows].ravel(), axis=0)
-        table[:, :, -1] = delimiters
-        dest.write(table.tobytes().translate(None, b"\0").decode("ascii"))
+                np.take(cells, values[rows].ravel(), axis=1, out=words, mode="clip")
+        for end, delimiter in zip(ends, delimiters):
+            table[end - 1] |= delimiter
+        dest.write(table.T.tobytes().translate(None, b"\0").decode("ascii"))

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -360,10 +361,29 @@ class TestSweep:
         )
         assert not out.exists()
 
-    def test_zero_steps_is_usage_error(self, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            run(["sweep", "--start", "0", "--stop", "1", "--steps", "0", "--out", str(tmp_path / "s.csv")])
-        assert exc.value.code == 2
+    def test_zero_steps_exits_1(self, tmp_path, capsys):
+        # --steps has the one count guard, floats.check_count, like parton --n and boost --grid
+        out = tmp_path / "s.csv"
+        assert run(["sweep", "--start", "0", "--stop", "1", "--steps", "0", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "coupledosc: error: steps must be at least 1, got 0\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("steps, message", [
+        (0, "steps must be at least 1, got 0"),
+        (-3, "steps must be at least 1, got -3"),
+        (2.5, "steps must be an integer, got 2.5"),
+        (True, "steps must be an integer, got True"),
+    ])
+    def test_write_sweep_checks_the_count(self, steps, message):
+        with pytest.raises(ValueError) as exc:
+            cli._write_sweep(io.StringIO(), 0.0, 1.0, steps, 1.0)
+        assert str(exc.value) == message
+
+    def test_integral_float_steps_is_a_count(self):
+        as_float, as_int = io.StringIO(), io.StringIO()
+        cli._write_sweep(as_float, 0.0, 1.0, 3.0, 1.0)
+        cli._write_sweep(as_int, 0.0, 1.0, 3, 1.0)
+        assert as_float.getvalue() == as_int.getvalue()
 
     def test_widest_finite_range_exits_1_without_warning(self, tmp_path, capsys):
         # 3 * (max/3) overflows while the eta grid is built; only the overflowing purity is reported

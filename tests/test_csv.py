@@ -173,6 +173,79 @@ def test_column_passed_twice_renders_once(monkeypatch):
     assert twice == reference(("a", "b", "c"), zip(a, a, a))
 
 
+# --- narrow cells: columns rendered up front --------------------------------------
+
+# a value whose %.15g text has the key's length: 7 and 8 characters, with the delimiter
+# byte, fill one word and just spill into a second; 15 and 16 do the same at two; 22 is
+# the longest %.15g text
+LONGEST = {7: -1.2345, 8: -1.23456, 15: -1.234567890123, 16: -1.2345678901234, 22: -1.23456789012345e-100}
+
+
+def axis(n, longest):
+    # n short values, one of them replaced by a value whose text is ``longest`` characters
+    values = np.round(np.linspace(-1.0, 1.0, n), 2)
+    values[n // 3] = LONGEST[longest]
+    assert max(len(f"{v:.15g}") for v in values) == longest
+    return values
+
+
+@pytest.mark.parametrize("longest", sorted(LONGEST))
+@pytest.mark.parametrize("n", [numerics._VECTOR_MIN - 1, numerics._VECTOR_MIN + 5], ids=["python", "vector"])
+def test_narrow_cells_take_the_fewest_words(longest, n):
+    a = axis(n, longest)
+    cells = numerics._left_justified(numerics._render(a))
+    assert cells.shape == (longest // 8 + 1, n)
+    assert cells.T.tobytes().translate(None, b"\0") == "".join(f"{v:.15g}" for v in a).encode()
+
+
+@pytest.mark.parametrize("longest", sorted(LONGEST))
+@pytest.mark.parametrize("n", [numerics._VECTOR_MIN - 1, numerics._VECTOR_MIN + 5], ids=["python", "vector"])
+@pytest.mark.parametrize("orientation", ["row-axis", "column-axis"])
+def test_narrow_axis_passed_twice(longest, n, orientation):
+    rng = np.random.default_rng(longest)
+    a = axis(n, longest)
+    b = rng.standard_normal(37) * 1e3
+    if orientation == "row-axis":
+        x, y = a[:, None], b[None, :]
+    else:
+        x, y = b[:, None], a[None, :]
+    vals = rng.lognormal(0.0, 5.0, np.broadcast_shapes(x.shape, y.shape))
+    X, Y = np.broadcast_arrays(x, y)
+    header = ("x", "y", "v", "x2", "y2")
+    expect = reference(header, zip(X.ravel(), Y.ravel(), vals.ravel(), X.ravel(), Y.ravel()))
+    assert written(header, (x, y, vals, x, y)) == expect
+
+
+@pytest.mark.parametrize("n", [5, 9, 100_000 // 37 + 1])
+def test_integer_axis(n):
+    k = np.arange(n)[:, None]
+    y = np.linspace(0.0, 1.0, 37)[None, :]
+    vals = np.add.outer(np.arange(n) * 1e-3, np.linspace(0.0, 1.0, 37))
+    K, Y = np.broadcast_arrays(k, y)
+    header = ("k", "y", "v", "k2")
+    expect = reference(header, zip(K.ravel().tolist(), Y.ravel(), vals.ravel(), K.ravel().tolist()))
+    assert written(header, (k, y, vals, k)) == expect
+
+
+@pytest.mark.parametrize("block_rows", [1, 7, 4096])
+def test_bytes_do_not_depend_on_the_block_size(monkeypatch, block_rows):
+    rng = np.random.default_rng(block_rows)
+    z, t = np.linspace(-8.0, 8.0, 61), np.linspace(-8.0, 8.0, 150)
+    psi = covariant.boosted_wavefunction(z[:, None], t[None, :], 0.44)
+    Z, T = np.meshgrid(z, t, indexing="ij")
+    coords = np.linspace(-6.0, 6.0, 301)
+    dens = rng.lognormal(0.0, 5.0, coords.size)
+    tables = [
+        (("z", "t", "psi", "qz", "q0", "phi"), (z[:, None], t[None, :], psi, z[:, None], t[None, :], psi),
+         zip(Z.ravel(), T.ravel(), psi.ravel(), Z.ravel(), T.ravel(), psi.ravel())),
+        (("k", "coordinate", "density"), (np.arange(coords.size), coords, dens),
+         zip(range(coords.size), coords, dens)),
+    ]
+    monkeypatch.setattr(numerics, "CSV_BLOCK_ROWS", block_rows)
+    for header, columns, rows in tables:
+        assert written(header, columns) == reference(header, rows), header
+
+
 # --- the vectorised %.15g renderer against Python's %.15g ----------------------
 
 

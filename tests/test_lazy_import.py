@@ -48,7 +48,7 @@ def _python(*args, cwd=None):
         pytest.param(["--help"], 0, id="help"),
         pytest.param(["modes", "--help"], 0, id="modes-help"),
         pytest.param(["modes", "--m=1"], 2, id="missing-option"),
-        pytest.param(["sweep", "--start=0", "--stop=1", "--steps=0", "--out=never.csv"], 2, id="zero-steps"),
+        pytest.param(["sweep", "--start=0", "--stop=1", "--steps=0", "--out=never.csv"], 1, id="zero-steps"),
         pytest.param(["frobnicate"], 2, id="unknown-command"),
         pytest.param(["sweep", "--start=-1", "--stop=2", "--steps=5", "--out=s.csv"], 0, id="sweep"),
         pytest.param(["sweep", "--start=-0.0", "--stop=0", "--steps=1", "--out=s.csv"], 0,
