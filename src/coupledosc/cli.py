@@ -1,12 +1,12 @@
 """Command-line front end: mode data, entanglement summaries, boosted fields,
 parton marginals, parameter sweeps, and the self-verification report.
 
-All numeric output is rendered at 15 significant digits. Every CSV is
-UTF-8 with LF line endings and a header row: numerics.write_csv writes the
-array tables, and sweep writes its rows with floats.format_floats, which
-write_csv's renderer also uses for the values it leaves to Python. Every
-command is deterministic: the same invocation produces the same bytes. Each
-command imports what it runs, so modes, sweep, --help and usage errors
+All numeric output has 15 significant digits, from floats.format_floats, and
+every file goes through one sink, floats.write_text. Every CSV is UTF-8 with LF
+line endings and a header row: numerics.write_csv writes the array tables and
+sweep its rows, and _emit_json rounds every JSON float through format_floats.
+Every command is deterministic: the same invocation produces the same bytes.
+Each command imports what it runs, so modes, sweep, --help and usage errors
 start without numpy. entangle runs every check on its input first and loads
 numpy only in the array functions, after their guards, so each entangle input
 error also exits without it; numerics loads only for --csv and --kernel-csv.
@@ -36,24 +36,24 @@ _PROG = "coupledosc"
 _SWEEP_BLOCK_ROWS = 4096
 
 
-def _f(x):
-    """Round-trip a float through format_floats so JSON and CSV agree on rendering."""
-    from .floats import format_floats
-
-    return float(format_floats((x,))[0])
-
-
 def _emit_json(payload: dict, out: str | None) -> None:
+    """Write ``payload`` as indented JSON to ``out`` or stdout, each float at any depth of dicts
+    and lists rounded to its format_floats text, as CSV writes it; other values pass through."""
     import json
 
-    text = json.dumps(payload, indent=2) + "\n"
-    if out:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    elif sys.stdout is None:
+    from .floats import format_floats, write_text
+
+    def rounded(value):
+        if isinstance(value, float):
+            return float(format_floats((value,))[0])
+        if isinstance(value, dict):
+            return {key: rounded(item) for key, item in value.items()}
+        return [rounded(item) for item in value] if isinstance(value, list) else value
+
+    text = json.dumps(rounded(payload), indent=2) + "\n"
+    if not out and sys.stdout is None:
         raise OSError("stdout is closed; use --out to write the JSON to a file")
-    else:
-        sys.stdout.write(text)
+    write_text(out or sys.stdout, (text,))
 
 
 def cmd_modes(args) -> int:
@@ -62,7 +62,7 @@ def cmd_modes(args) -> int:
     params = oscillator.CoupledParams(m=args.m, A=args.A, C=args.C)
     modes = oscillator.normal_modes(params)
     # the records' field order is the JSON key order
-    _emit_json({k: _f(v) for k, v in (vars(params) | vars(modes)).items()}, args.out)
+    _emit_json(vars(params) | vars(modes), args.out)
     return 0
 
 
@@ -79,16 +79,16 @@ def cmd_entangle(args) -> int:
     rs = entanglement.reduced_state(args.eta, k_max=args.kmax)
     _emit_json(
         {
-            "eta": _f(args.eta),
+            "eta": args.eta,
             "k_max": args.kmax,
-            "omega": _f(args.omega),
-            "coeffs": [_f(c) for c in exp_.coefficients],
-            "eigenvalues": [_f(p) for p in rs.eigenvalues],
-            "tail": _f(rs.tail),
-            "purity": _f(purity),
-            "entropy": _f(entropy),
-            "x": None if x is None else _f(x),
-            "T": _f(temperature),
+            "omega": args.omega,
+            "coeffs": exp_.coefficients.tolist(),
+            "eigenvalues": rs.eigenvalues.tolist(),
+            "tail": rs.tail,
+            "purity": purity,
+            "entropy": entropy,
+            "x": x,
+            "T": temperature,
         },
         args.out,
     )
@@ -164,7 +164,7 @@ def _linspace(start: float, stop: float, steps: int) -> array:
 
 def _write_sweep(dest, start: float, stop: float, steps: int, omega: float) -> None:
     from . import entanglement
-    from .floats import check_count, check_table_size, format_floats
+    from .floats import check_count, check_table_size, format_floats, write_text
 
     steps = check_count(steps, "steps", 1)
     check_table_size(steps, f"a sweep of --steps={steps} rows", "use fewer steps")
@@ -190,11 +190,7 @@ def _write_sweep(dest, start: float, stop: float, steps: int, omega: float) -> N
             block = (format_floats(c[first:first + _SWEEP_BLOCK_ROWS]) for c in columns)
             yield "".join(f"{e},{p},{s},{t},{w},{w}\n" for e, p, s, t, w in zip(*block))
 
-    if hasattr(dest, "write"):
-        dest.writelines(text())
-    else:
-        with open(dest, "w", encoding="utf-8", newline="") as fh:
-            fh.writelines(text())
+    write_text(dest, text())
 
 
 def cmd_sweep(args) -> int:
@@ -215,14 +211,9 @@ def cmd_verify(args) -> int:
     n_pass = sum(1 for r in report.checks if r.passed)
     print(f"overall: {'PASS' if report.overall_pass else 'FAIL'} ({n_pass}/{len(report.checks)} checks)")
     if args.out:
-        _emit_json({
-            # CheckResult's field order is the JSON key order
-            "checks": [
-                vars(r) | {"deviation": _f(r.deviation), "tolerance": _f(r.tolerance)}
-                for r in report.checks
-            ],
-            "overall_pass": report.overall_pass,
-        }, args.out)
+        # CheckResult's field order is the JSON key order
+        checks = [vars(r) for r in report.checks]
+        _emit_json({"checks": checks, "overall_pass": report.overall_pass}, args.out)
     return 0 if report.overall_pass else 1
 
 

@@ -1,12 +1,12 @@
-"""Float limits, input guards and float text: the part of the core that needs only math.
+"""Float limits, input guards, float text and the text sink: the core that needs only math.
 
-Every module that takes an eta, a count or builds a table checks it here, and every float
-the package writes as text has the format of format_floats. check_eta is the one eta
-guard: each closed form passes it the |eta| where the form overflows, before checking any
-other argument. check_count is the one count guard: every truncation order, node count
-and row count passes it. The record decorator makes the package's frozen result types
-without the dataclasses module. Importing this module loads no numpy, so the closed-form
-paths (entanglement's scalar functions and the sweep command) start without it.
+Every module that takes an eta, a count or builds a table checks it here; every float the
+package writes has the format of format_floats, and every file it writes goes through
+write_text. check_eta is the one eta guard: each closed form passes it the |eta| where the
+form overflows, before checking any other argument. check_count is the one count guard:
+every truncation order, node count and row count passes it. The record decorator makes the
+package's frozen result types without the dataclasses module. Importing this module loads
+no numpy, so the closed-form paths (entanglement's scalar functions and sweep) start without it.
 """
 
 import math
@@ -88,6 +88,16 @@ def check_table_size(values: int, table: str, remedy: str) -> None:
 def format_floats(values) -> list[str]:
     """Each float of ``values`` as %.15g text, the one format of every written float."""
     return ["%.15g" % v for v in values]
+
+
+def write_text(dest, chunks) -> None:
+    """Write the strings ``chunks`` to ``dest``, an open text file or a path: the one text sink.
+    Only this opens a path (UTF-8, LF endings), so a check that fails first leaves it untouched."""
+    if hasattr(dest, "write"):
+        dest.writelines(chunks)
+    else:
+        with open(dest, "w", encoding="utf-8", newline="") as fh:
+            fh.writelines(chunks)
 
 
 def _frozen(self, name, *value):

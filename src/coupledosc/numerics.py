@@ -17,9 +17,9 @@ which stays in range and keeps full relative accuracy to k = 128 and beyond
 The reduced-density oracle tabulates a two-argument wavefunction on the grid
 and contracts one argument with the quadrature weights; all spectral claims
 (Schmidt coefficients, purity, entropy) are validated against it. Every
-array table the package writes goes through write_csv; its renderer and the
-sweep format floats with floats.format_floats. The eta, count and table-size
-guards live in floats, which needs no numpy.
+array table the package writes goes through write_csv, which hands its text to
+floats.write_text; its renderer and the sweep format floats with floats.format_floats.
+The eta, count and table-size guards live in floats, which needs no numpy.
 
 The squeezed Gaussian has two routes. squeezed_gaussian, in x1 +- x2, serves
 oscillator.ground_state and the oracle; covariant.boosted_wavefunction writes
@@ -296,11 +296,6 @@ _ROUND_MARGIN = 16 * float(np.finfo(np.longdouble).eps) * 1e15
 _VECTOR_MIN = 128
 
 
-def _words(text: list) -> np.ndarray:
-    """Byte strings of at most 8 bytes as little-endian words, NUL-padded."""
-    return np.array(text, dtype="S8").view(_WORD)
-
-
 @lru_cache(maxsize=1)
 def _tables() -> SimpleNamespace:
     """_render's lookup tables, built on first use so that commands writing no CSV skip them.
@@ -321,7 +316,7 @@ def _tables() -> SimpleNamespace:
                 ``stop``, and the trailing zeros past it drop.
     """
     exponents, fixed = range(-_E0, _E0 + 1), range(-4, 15)
-    d2 = _words([b"%02d" % g for g in range(100)])
+    d2 = _cells([b"%02d" % g for g in range(100)])[0]
     dig4 = (d2[:, None] | d2 << 16).ravel()
     # one past the last nonzero digit of two digits g, then of four digits 100 a + b
     last2 = np.array([0] + [1 if g % 10 == 0 else 2 for g in range(1, 100)], np.uint8)
@@ -336,8 +331,8 @@ def _tables() -> SimpleNamespace:
     return SimpleNamespace(
         scale=np.fromstring(" ".join(f"1e{14 - e}" for e in exponents), np.longdouble, sep=" "),
         point=np.array([max(e + 1, 0) if e in fixed else 1 for e in exponents]),
-        prefix=_words([b"\0" + b"0.000"[: 1 - e] if e in fixed and e < 0 else b"" for e in exponents]),
-        exp=_words([b"" if e in fixed else b"e%+03d" % e for e in exponents]),
+        prefix=_cells([b"\0" + b"0.000"[: 1 - e] if e in fixed and e < 0 else b"" for e in exponents])[0],
+        exp=_cells([b"" if e in fixed else b"e%+03d" % e for e in exponents])[0],
         dig4=dig4,
         dig4_hi=dig4 << 32,
         end=[np.where(last4 > 0, last4 + 4 * j, 0).astype(np.uint8) for j in range(4)],
@@ -348,7 +343,7 @@ def _tables() -> SimpleNamespace:
 
 
 def _cells(text: list) -> np.ndarray:
-    """Strings of at most W - 1 ASCII characters as NUL-padded cells, word-major: (4, len)."""
+    """(Byte) strings of at most W - 1 ASCII characters as NUL-padded cells, word-major: (4, len)."""
     return np.array(text, dtype=f"S{W}").view(_WORD).reshape(-1, 4).T
 
 
@@ -413,23 +408,22 @@ def _left_justified(cells: np.ndarray) -> np.ndarray:
 def write_csv(dest, header, columns) -> None:
     """Write a header row, then one row per entry of the broadcast ``columns``, in C order.
 
-    ``dest`` is a path (written as UTF-8, LF line endings) or an open text file.
-    Rows are rendered and written in blocks of whole lead-axis rows, about
-    CSV_BLOCK_ROWS values to a block. Each block is one (words, rows) table,
-    filled in place, in which each column owns whole rows: a full column's
-    four _render rows are copied as they are, a "," or LF is OR-ed into the
-    last byte of each column's last word, and the transposed table, its NUL
-    padding dropped by bytes.translate, is written as one string. A column
-    smaller than the table, such as a mesh axis, is rendered up front into
-    _left_justified cells and gathered into its rows per block; a column
-    passed twice (the same object) is filled once per block and copied.
+    ``dest`` is a path or an open text file, which floats.write_text writes. ValueError,
+    before a path is opened, unless ``header`` names each column and the columns broadcast
+    to at least one dimension. Rows go in blocks of whole lead-axis rows, about
+    CSV_BLOCK_ROWS values each: one (words, rows) table, filled in place, in which each
+    column owns whole rows. A full column's four _render rows are copied as they are, a
+    "," or LF is OR-ed into the last byte of each column's last word, and the transposed
+    table, its NUL padding dropped by bytes.translate, is one string. A column smaller
+    than the table, such as a mesh axis, is rendered up front into _left_justified cells
+    and gathered per block; a column passed twice (the same object) is filled once a block.
     """
-    if not hasattr(dest, "write"):
-        with open(dest, "w", encoding="utf-8", newline="") as fh:
-            write_csv(fh, header, columns)
-        return
     arrays = [np.asarray(c) for c in columns]
+    if len(header) != len(arrays):
+        raise ValueError(f"a CSV needs a header name per column, got {len(header)} for {len(arrays)}")
     shape = np.broadcast_shapes(*(a.shape for a in arrays))
+    if not shape:
+        raise ValueError("a CSV table needs columns that broadcast to at least one dimension")
     size = math.prod(shape)
 
     def source(a):
@@ -446,18 +440,22 @@ def write_csv(dest, header, columns) -> None:
     starts = ends - widths
     delimiters = np.array([ord(",")] * (len(columns) - 1) + [ord("\n")], _WORD) << 56
     lead, row = (shape[0], size // shape[0]) if size else (0, 1)
-    dest.write(",".join(header) + "\n")
-    for rows in blocks(lead, max(1, CSV_BLOCK_ROWS // row)):
-        table = np.empty((ends[-1], (min(rows.stop, lead) - rows.start) * row), _WORD)
-        for i, j in enumerate(first):
-            cells, values = sources[j]
-            words = table[starts[i]:ends[i]]
-            if j < i:
-                words[...] = table[starts[j]:ends[j]]
-            elif cells is None:
-                words[...] = _render(values[rows].ravel())
-            else:
-                np.take(cells, values[rows].ravel(), axis=1, out=words, mode="clip")
-        for end, delimiter in zip(ends, delimiters):
-            table[end - 1] |= delimiter
-        dest.write(table.T.tobytes().translate(None, b"\0").decode("ascii"))
+
+    def text():
+        yield ",".join(header) + "\n"
+        for rows in blocks(lead, max(1, CSV_BLOCK_ROWS // row)):
+            table = np.empty((ends[-1], (min(rows.stop, lead) - rows.start) * row), _WORD)
+            for i, j in enumerate(first):
+                cells, values = sources[j]
+                words = table[starts[i]:ends[i]]
+                if j < i:
+                    words[...] = table[starts[j]:ends[j]]
+                elif cells is None:
+                    words[...] = _render(values[rows].ravel())
+                else:
+                    np.take(cells, values[rows].ravel(), axis=1, out=words, mode="clip")
+            for end, delimiter in zip(ends, delimiters):
+                table[end - 1] |= delimiter
+            yield table.T.tobytes().translate(None, b"\0").decode("ascii")
+
+    floats.write_text(dest, text())

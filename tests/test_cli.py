@@ -283,6 +283,26 @@ class TestParton:
             run(["parton", "--eta", "0", "--rescale", "1;2", "--out", str(tmp_path / "o.csv")])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "rescale, message",
+        [
+            ("a,b", "could not parse 'a,b' as shift,scale"),
+            ("0,0", "rescale needs finite shift and positive scale"),
+            ("0,-1", "rescale needs finite shift and positive scale"),
+            ("nan,1", "rescale needs finite shift and positive scale"),
+            ("0,inf", "rescale needs finite shift and positive scale"),
+        ],
+    )
+    def test_rejected_rescale_names_why(self, rescale, message, tmp_path, capsys):
+        ov = tmp_path / "ov.csv"
+        ov.write_text("x,value\n0,1\n1,2\n", encoding="utf-8", newline="")
+        out = tmp_path / "o.csv"
+        with pytest.raises(SystemExit) as exc:
+            run(["parton", "--eta=1", f"--overlay={ov}", f"--rescale={rescale}", f"--out={out}"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(f"coupledosc parton: error: argument --rescale: {message}\n")
+        assert not out.exists()
+
 
 class TestSweep:
     def test_single_row(self, tmp_path):
@@ -632,6 +652,41 @@ def test_json_stdout_is_pinned(name, capsys):
     argv, text = PINNED_STDOUT[name]
     assert run(argv) == 0
     assert capsys.readouterr() == (text, "")
+
+
+class TestEmitJson:
+    def test_floats_are_rounded_at_any_depth(self, capsys):
+        payload = {
+            "sum": 0.1 + 0.2,
+            "nested": [1 / 3, {"deeper": [2 / 3, np.float64(0.1) * 3], "k": 7}],
+            "flag": True,
+            "count": 3,
+            "name": "x",
+            "missing": None,
+            "inf": math.inf,
+        }
+        cli._emit_json(payload, None)
+        assert capsys.readouterr().out == json.dumps(
+            {
+                "sum": 0.3,
+                "nested": [0.333333333333333, {"deeper": [0.666666666666667, 0.3], "k": 7}],
+                "flag": True,
+                "count": 3,
+                "name": "x",
+                "missing": None,
+                "inf": math.inf,
+            },
+            indent=2,
+        ) + "\n"
+
+    def test_records_are_not_changed(self, tmp_path):
+        from coupledosc.verify import CheckResult
+
+        result = CheckResult("c", True, 0.1 + 0.2, 1 / 3)
+        out = tmp_path / "r.json"
+        cli._emit_json({"checks": [vars(result)]}, str(out))
+        assert json.loads(out.read_text(encoding="utf-8"))["checks"][0]["deviation"] == 0.3
+        assert (result.deviation, result.tolerance) == (0.1 + 0.2, 1 / 3)
 
 
 class TestUsage:

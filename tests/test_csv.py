@@ -327,6 +327,30 @@ def test_path_destination_is_utf8_with_lf(tmp_path):
     assert path.read_bytes() == b"x\n1.5\n-2\n"
 
 
+@pytest.mark.parametrize(
+    "header, columns, message",
+    [
+        (("a", "b"), (np.array([1.0, 2.0]),), "a header name per column, got 2 for 1"),
+        (("a",), (np.array([1.0]), np.array([2.0])), "a header name per column, got 1 for 2"),
+        (("a",), (np.float64(1.5),), "at least one dimension"),
+        (("a", "b"), (np.float64(1.5), 2.0), "at least one dimension"),
+        ((), (), "at least one dimension"),
+        (("a", "b"), (np.zeros(2), np.zeros(3)), "broadcast"),
+    ],
+    ids=["more-names", "fewer-names", "0-d", "all-0-d", "no-columns", "no-broadcast"],
+)
+def test_malformed_table_raises_before_the_file_opens(header, columns, message, tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"kept\n")
+    with pytest.raises(ValueError, match=message):
+        write_csv(path, header, columns)
+    assert path.read_bytes() == b"kept\n"
+    buf = io.StringIO()
+    with pytest.raises(ValueError, match=message):
+        write_csv(buf, header, columns)
+    assert buf.getvalue() == ""
+
+
 def test_only_the_renderer_formats_floats():
     allowed = {("floats.py", "format_floats")}
     offenders = []

@@ -150,6 +150,12 @@ class TestEntropy:
         # S -> eta + 1 - 2 ln 2, correction O(eta e^{-eta})
         assert_allclose(entropy(40.0), 41.0 - 2 * math.log(2.0), rtol=1e-12)
 
+    def test_asymptote_where_e_to_the_minus_eta_underflows(self):
+        # e^{-eta} is 0.0 past eta ~ 745: the closed form returns the asymptote itself
+        assert entropy(800.0) == 800.0 + 1.0 - 2.0 * math.log(2.0)
+        assert entropy(-800.0) == entropy(800.0)
+        assert math.isfinite(entropy(-1e308))
+
 
 class TestThermalMap:
     def test_frozen_mapping(self):
@@ -194,6 +200,10 @@ class TestThermalMap:
         tm = effective_temperature(99.0)
         assert 0.0 < tm.x < 1e-40
         assert math.isfinite(tm.temperature)
+
+    def test_x_underflow_raises(self):
+        with pytest.raises(ValueError, match=r"^\|eta\| = 800 is too large: x underflows to zero$"):
+            effective_temperature(800.0)
 
     def test_hotter_with_more_squeeze(self):
         temps = [effective_temperature(e).temperature for e in (0.5, 1.0, 2.0, 4.0)]

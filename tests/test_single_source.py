@@ -78,3 +78,17 @@ def test_default_grid_for_an_eta_picked_once():
 @pytest.mark.parametrize("module", ["numerics.py", "covariant.py", "parton.py"])
 def test_no_meshgrid(module):
     assert "meshgrid" not in (SRC / module).read_text(encoding="utf-8")
+
+
+# a write-mode open: a mode of w, a, x or + after the path; and a test for an open text file
+WRITE_OPEN = re.compile(r"""\bopen\([^,)]*,\s*(mode\s*=\s*)?["'][rbt]*[wax+]""")
+TEXT_FILE_TEST = re.compile(r"""hasattr\(\w+,\s*["']write["']\)""")
+
+
+def test_one_text_sink():
+    # every file the package writes is opened, or written as an open file, by one function
+    assert sites(WRITE_OPEN) == {("floats.py", "write_text")}
+    assert sites(TEXT_FILE_TEST) == {("floats.py", "write_text")}
+    # JSON floats are rounded where the JSON is written, not by a helper at each call site
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    assert "_f" not in {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
