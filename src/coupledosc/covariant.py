@@ -111,7 +111,11 @@ def dirac_gaussian(z, t):
 
 
 def boosted_wavefunction(z, t, eta: float):
-    """psi_eta(z, t) evaluated through its light-cone components."""
+    """psi_eta(z, t) evaluated through its light-cone components.
+
+    Returns a fresh array (a float for 0-d input) and writes into no argument: each node
+    takes the formula's operations in order, in place beside at most two more meshes.
+    """
     eta = check_eta(eta, EXP_ETA_MAX, "psi_eta")
     za = np.asarray(z, dtype=float)
     ta = np.asarray(t, dtype=float)
@@ -119,7 +123,14 @@ def boosted_wavefunction(z, t, eta: float):
     v = (za - ta) / _SQRT2
     # a product that overflows to inf gives exp(-inf) = 0, the right value
     with np.errstate(over="ignore"):
-        out = np.pi ** -0.5 * np.exp(-0.5 * (math.exp(-eta) * u * u + math.exp(eta) * v * v))
+        s = math.exp(-eta) * u * u
+        del u  # the result takes its place: at most three meshes are alive
+        out = math.exp(eta) * v * v
+        out += s
+        out *= -0.5
+        # np.asarray is out itself, or a 0-d array where 0-d input left out a numpy scalar
+        out = np.exp(out, out=np.asarray(out))
+        out *= np.pi ** -0.5
     return out if out.ndim else float(out)
 
 

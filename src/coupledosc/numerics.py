@@ -227,14 +227,26 @@ class DensityKernel:
 
 
 def squeezed_gaussian(x1, x2, eta: float):
-    """psi_eta(x1, x2) = (1/sqrt pi) exp{-1/4 [e^{-eta}(x1+x2)^2 + e^{eta}(x1-x2)^2]}, vectorized."""
+    """psi_eta(x1, x2) = (1/sqrt pi) exp{-1/4 [e^{-eta}(x1+x2)^2 + e^{eta}(x1-x2)^2]}, vectorized.
+
+    Returns a fresh array (a float for 0-d input) and writes into no argument: each node takes
+    the formula's operations in order, in place in the buffer of x1 + x2 beside one more mesh.
+    """
     eta = check_eta(eta, EXP_ETA_MAX, "psi_eta")
     x1a = np.asarray(x1, dtype=float)
     x2a = np.asarray(x2, dtype=float)
     em, ep = np.exp(-eta), np.exp(eta)
     # a product that overflows to inf gives exp(-inf) = 0, the right value
     with np.errstate(over="ignore"):
-        out = np.pi ** -0.5 * np.exp(-0.25 * (em * (x1a + x2a) ** 2 + ep * (x1a - x2a) ** 2))
+        # 0-d input keeps s a numpy scalar, rebound by each augmented assignment: its ** 2 stays pow
+        s = (x1a + x2a) ** 2
+        s *= em
+        d = (x1a - x2a) ** 2
+        d *= ep
+        s += d
+        del d  # before exp's argument, so at most two meshes are alive
+        out = np.exp(-0.25 * s, out=np.asarray(s))
+        out *= np.pi ** -0.5
     return out if out.ndim else float(out)
 
 
@@ -271,8 +283,8 @@ def oracle_reduced_density(eta: float, grid: QuadratureGrid | None = None) -> De
             f"|eta| = {abs(eta):g} beyond supported range {MAX_ORACLE_ETA:g}"
         )
     eta, g = check_resolution(eta, grid)
-    psi = squeezed_gaussian(g.nodes[:, None], g.nodes[None, :], eta)
-    a = psi * np.sqrt(g.weights)
+    a = squeezed_gaussian(g.nodes[:, None], g.nodes[None, :], eta)
+    a *= np.sqrt(g.weights)
     return DensityKernel(_readonly(a @ a.T), g)
 
 
@@ -409,8 +421,9 @@ def write_csv(dest, header, columns) -> None:
     """Write a header row, then one row per entry of the broadcast ``columns``, in C order.
 
     ``dest`` is a path or an open text file, which floats.write_text writes. ValueError,
-    before a path is opened, unless ``header`` names each column and the columns broadcast
-    to at least one dimension. Rows go in blocks of whole lead-axis rows, about
+    before a path is opened, unless ``header`` names each column, every column is of bool,
+    integer or float dtype, and the columns broadcast to at least one dimension. Rows go in
+    blocks of whole lead-axis rows, about
     CSV_BLOCK_ROWS values each: one (words, rows) table, filled in place, in which each
     column owns whole rows. A full column's four _render rows are copied as they are, a
     "," or LF is OR-ed into the last byte of each column's last word, and the transposed
@@ -421,6 +434,9 @@ def write_csv(dest, header, columns) -> None:
     arrays = [np.asarray(c) for c in columns]
     if len(header) != len(arrays):
         raise ValueError(f"a CSV needs a header name per column, got {len(header)} for {len(arrays)}")
+    for name, a in zip(header, arrays):
+        if a.dtype.kind not in "biuf":
+            raise ValueError(f"CSV column {name!r} must hold real numbers, got dtype {a.dtype}")
     shape = np.broadcast_shapes(*(a.shape for a in arrays))
     if not shape:
         raise ValueError("a CSV table needs columns that broadcast to at least one dimension")

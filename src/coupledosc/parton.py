@@ -112,7 +112,7 @@ def longitudinal_density(
     dens = np.empty(g.count)
     for rows in blocks(g.count, MESH_BLOCK_ROWS):
         amp = wavefunction(g.nodes[rows, None], b, eta)
-        dens[rows] = (amp * amp) @ g.weights
+        dens[rows] = np.multiply(amp, amp, out=amp) @ g.weights
     area = float(g.weights @ dens)
     if area == 0.0:
         raise GridResolutionError(_UNDERFLOW)
@@ -156,16 +156,19 @@ def lightcone_fraction(eta: float, band: float = 0.5, grid: "QuadratureGrid | No
     reach = 2.0 * math.sqrt(760.0 * math.exp(-eta))
     w = g.weights
     total, inside = np.empty(g.count), np.empty(g.count)
+    # every block views the same two zeroed slabs as (count, its width) and zeroes its rows when done
+    slabs = np.zeros((2, g.count * MESH_BLOCK_ROWS))
     for cols in blocks(g.count, MESH_BLOCK_ROWS):
         t = g.nodes[None, cols]
         lo, hi = np.searchsorted(g.nodes, (t[0, 0] - reach, t[0, -1] + reach))
         z = g.nodes[lo:hi, None]
-        rho, masked = np.zeros((g.count, t.shape[1])), np.zeros((g.count, t.shape[1]))
-        rho[lo:hi] = covariant.boosted_wavefunction(z, t, eta) ** 2
+        rho, masked = (slab[: g.count * t.shape[1]].reshape(g.count, -1) for slab in slabs)
+        np.square(covariant.boosted_wavefunction(z, t, eta), out=rho[lo:hi])
         V = (z - t) / math.sqrt(2.0)
         np.copyto(masked[lo:hi], rho[lo:hi], where=np.abs(V) < band)
         total[cols] = w @ rho
         inside[cols] = w @ masked
+        rho[lo:hi] = masked[lo:hi] = 0.0
     mass = float(total @ w)
     if mass == 0.0:
         raise GridResolutionError(_UNDERFLOW)

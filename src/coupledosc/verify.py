@@ -140,7 +140,8 @@ def check(tolerance: float, detail: str = ""):
 
 def _max_abs(a, b) -> float:
     """max |a - b| over the broadcast arrays: a table's deviation from its reference."""
-    return float(np.max(np.abs(a - b)))
+    diff = a - b
+    return float(np.max(np.abs(diff, out=diff)))
 
 
 @functools.cache

@@ -8,6 +8,7 @@ import ast
 import io
 import math
 import os
+import re
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -349,6 +350,31 @@ def test_malformed_table_raises_before_the_file_opens(header, columns, message, 
     with pytest.raises(ValueError, match=message):
         write_csv(buf, header, columns)
     assert buf.getvalue() == ""
+
+
+@pytest.mark.parametrize(
+    "column",
+    [np.array(["x", "y"]), np.array([1.0 + 2.0j, 3.0]), np.array([None, 1.0]), np.array(["2020-01-01"], "M8[D]")],
+    ids=["str", "complex", "object", "datetime"],
+)
+def test_column_of_no_real_numbers_raises_before_the_file_opens(column, tmp_path):
+    columns = (np.array([1.0, 2.0]), column)
+    message = re.escape(f"CSV column 'b' must hold real numbers, got dtype {column.dtype}")
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"kept\n")
+    with pytest.raises(ValueError, match=message):
+        write_csv(path, ("a", "b"), columns)
+    assert path.read_bytes() == b"kept\n"
+    buf = io.StringIO()
+    with pytest.raises(ValueError, match=message):
+        write_csv(buf, ("a", "b"), columns)
+    assert buf.getvalue() == ""
+
+
+def test_bool_and_integer_columns_are_numbers():
+    columns = (np.array([True, False]), np.array([3, -4], np.int8), np.array([7, 2**64 - 1], np.uint64),
+               np.array([1.5, 2.0], np.float32))
+    assert written(("a", "b", "c", "d"), columns) == b"a,b,c,d\n1,3,7,1.5\n0,-4,18446744073709551615,2\n"
 
 
 def test_only_the_renderer_formats_floats():

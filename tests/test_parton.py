@@ -10,7 +10,15 @@ import pytest
 from numpy.testing import assert_allclose
 
 from coupledosc import covariant
-from coupledosc.numerics import MESH_BLOCK_ROWS, GridResolutionError, blocks, default_grid, uniform_grid
+from coupledosc.numerics import (
+    MESH_BLOCK_ROWS,
+    GridResolutionError,
+    blocks,
+    default_grid,
+    oracle_reduced_density,
+    squeezed_gaussian,
+    uniform_grid,
+)
 from coupledosc.parton import (
     OverlayParseError,
     OverlaySeries,
@@ -186,6 +194,38 @@ class TestBlockedReductions:
             tracemalloc.stop()
         # one 1201^2 float mesh alone is 11.5 MB
         assert peak < 8e6
+
+    def test_fraction_reuses_its_slabs(self):
+        # two (1201 x 64) slabs serve every block; with two new ones a block the peak
+        # was 2.58 MiB
+        g = uniform_grid(count=1201, extent=24.0)
+        assert _peak_bytes(lambda: lightcone_fraction(4.0, band=0.5, grid=g)) <= 2.58 * 2**20
+
+    @pytest.mark.parametrize(
+        "call, buffers",
+        [
+            (lambda x: covariant.boosted_wavefunction(x[:, None], x[None, :], 0.5), 3.2),
+            (lambda x: squeezed_gaussian(x[:, None], x[None, :], 0.5), 2.2),
+            (lambda x: oracle_reduced_density(0.5), 2.2),
+        ],
+        ids=["boosted_wavefunction", "squeezed_gaussian", "oracle_reduced_density"],
+    )
+    def test_mesh_kernel_memory(self, call, buffers):
+        # the kernels form their 401^2 mesh in place in their result: the light-cone route
+        # holds u, v and e^-eta u u at once, the (x1 +- x2) route two meshes
+        x = default_grid().nodes
+        assert _peak_bytes(lambda: call(x)) <= buffers * x.size * x.size * 8
+
+
+def _peak_bytes(call):
+    """tracemalloc's peak over one call, after a first call has warmed lazy imports and caches."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def _unrestricted_fraction(eta, band, grid):
