@@ -238,10 +238,12 @@ def squeezed_gaussian(x1, x2, eta: float):
     em, ep = np.exp(-eta), np.exp(eta)
     # a product that overflows to inf gives exp(-inf) = 0, the right value
     with np.errstate(over="ignore"):
-        # 0-d input keeps s a numpy scalar, rebound by each augmented assignment: its ** 2 stays pow
-        s = (x1a + x2a) ** 2
+        # s *= s squares as np.square does, correctly rounded; a 0-d numpy scalar's ** 2 is pow
+        s = x1a + x2a
+        s *= s
         s *= em
-        d = (x1a - x2a) ** 2
+        d = x1a - x2a
+        d *= d
         d *= ep
         s += d
         del d  # before exp's argument, so at most two meshes are alive
@@ -359,22 +361,27 @@ def _cells(text: list) -> np.ndarray:
     return np.array(text, dtype=f"S{W}").view(_WORD).reshape(-1, 4).T
 
 
+def _text(values: np.ndarray) -> list[str]:
+    """The 1-D ``values`` as Python text: %d for integer dtypes, format_floats otherwise."""
+    if values.dtype.kind in "iu":
+        return ["%d" % v for v in values.tolist()]
+    return format_floats(values.tolist())
+
+
 def _render(values: np.ndarray) -> np.ndarray:
     """The 1-D ``values`` as NUL-padded cells, last byte free, word-major: (4, n) words.
 
-    Integers are written as %d. Floats are written exactly as format_floats
-    writes them: m = |x| 10**(14 - e), e = floor(log10 |x|), is formed in long
-    double and rounded to the 15-digit integer r, whose digits are laid out in
-    %g's fixed or exponent form. format_floats formats what this cannot get
-    right for certain: zeros, subnormals, non-finite values, values whose e
-    comes out off by one, and values within _ROUND_MARGIN of a rounding tie. It
-    also formats blocks of fewer than _VECTOR_MIN values, where it is faster.
+    Floats are written exactly as format_floats writes them: m = |x| 10**(14 - e),
+    e = floor(log10 |x|), is formed in long double and rounded to the 15-digit
+    integer r, whose digits are laid out in %g's fixed or exponent form. _text
+    formats what this cannot get right for certain: zeros, subnormals, non-finite
+    values, values whose e comes out off by one, and values within _ROUND_MARGIN
+    of a rounding tie. It also formats integers, as %d, and blocks of fewer than
+    _VECTOR_MIN values, where it is faster.
     """
-    if values.dtype.kind in "iu":
-        return _cells(["%d" % v for v in values.tolist()])
+    if values.dtype.kind in "iu" or values.size < _VECTOR_MIN or _ROUND_MARGIN >= 0.5:
+        return _cells(_text(values))
     x = np.asarray(values, dtype=float)
-    if x.size < _VECTOR_MIN or _ROUND_MARGIN >= 0.5:
-        return _cells(format_floats(x.tolist()))
     t = _tables()
     a = np.abs(x)
     exact = (a >= _TINY) & (a <= _HUGE)
@@ -404,17 +411,8 @@ def _render(values: np.ndarray) -> np.ndarray:
     cells[3] = t.exp[k]
     inexact = np.flatnonzero(~exact)
     if inexact.size:
-        cells[:, inexact] = _cells(format_floats(x[inexact].tolist()))
+        cells[:, inexact] = _cells(_text(x[inexact]))
     return cells
-
-
-def _left_justified(cells: np.ndarray) -> np.ndarray:
-    """_render's (4, n) cells, each text moved to its first byte, in the fewest words that keep
-    the last byte of every cell free: a (words, n) array."""
-    text = np.ascontiguousarray(cells.T).view(np.uint8)
-    text = np.take_along_axis(text, np.argsort(text == 0, axis=1, kind="stable"), axis=1)
-    words = np.count_nonzero(text, axis=1).max() // 8 + 1
-    return np.ascontiguousarray(text[:, :8 * words]).view(_WORD).T.copy()
 
 
 def write_csv(dest, header, columns) -> None:
@@ -428,8 +426,8 @@ def write_csv(dest, header, columns) -> None:
     column owns whole rows. A full column's four _render rows are copied as they are, a
     "," or LF is OR-ed into the last byte of each column's last word, and the transposed
     table, its NUL padding dropped by bytes.translate, is one string. A column smaller
-    than the table, such as a mesh axis, is rendered up front into _left_justified cells
-    and gathered per block; a column passed twice (the same object) is filled once a block.
+    than the table, such as a mesh axis, is formatted by _text up front, kept in its fewest
+    words, and gathered per block; a column passed twice (the same object) is filled once a block.
     """
     arrays = [np.asarray(c) for c in columns]
     if len(header) != len(arrays):
@@ -445,7 +443,8 @@ def write_csv(dest, header, columns) -> None:
     def source(a):
         # (cells rendered up front, their indices) or (None, the values)
         if a.size < size:
-            cells = _left_justified(_render(a.ravel()))
+            text = _text(a.ravel())
+            cells = _cells(text)[: max(map(len, text)) // 8 + 1]
             return cells, np.broadcast_to(np.arange(a.size).reshape(a.shape), shape)
         return None, np.broadcast_to(a, shape)
 

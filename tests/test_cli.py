@@ -12,7 +12,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from coupledosc import cli
+from coupledosc import cli, numerics
 
 
 # the one error line of an omega so small that T = omega/x rounds to zero at eta = 0.5
@@ -193,6 +193,14 @@ class TestBoost:
         assert run([a.format(out=out) for a in argv] + [f"--grid={grid}"]) == 1
         assert capsys.readouterr().err == f"coupledosc: error: grid count must be at least 2, got {grid}\n"
         assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["entangle", "--eta=1"], ["boost", "--eta=1", "--out=b.csv"]],
+                         ids=["entangle", "boost"])
+def test_grid_defaults_are_the_default_grid(argv):
+    # build_parser writes them as literals, so that the CLI starts without numpy
+    args = cli.build_parser().parse_args(argv)
+    assert (args.grid, args.extent) == (numerics.DEFAULT_COUNT, numerics.DEFAULT_EXTENT)
 
 
 class TestExtent:

@@ -192,11 +192,37 @@ def axis(n, longest):
 
 @pytest.mark.parametrize("longest", sorted(LONGEST))
 @pytest.mark.parametrize("n", [numerics._VECTOR_MIN - 1, numerics._VECTOR_MIN + 5], ids=["python", "vector"])
-def test_narrow_cells_take_the_fewest_words(longest, n):
+def test_narrow_cells_take_the_fewest_words(monkeypatch, longest, n):
+    # write_csv gathers an axis's rows from its cells with np.take: catch the cells there
+    gathered = []
+    take = np.take
+    def spy(cells, *args, **kwargs):
+        gathered.append(cells)
+        return take(cells, *args, **kwargs)
+
+    monkeypatch.setattr(np, "take", spy)
     a = axis(n, longest)
-    cells = numerics._left_justified(numerics._render(a))
+    vals = np.zeros((n, 3))
+    assert written(("a", "v"), (a[:, None], vals)) == reference(("a", "v"), zip(np.repeat(a, 3), vals.ravel()))
+    cells = gathered[0]
+    assert all(c is cells for c in gathered)
     assert cells.shape == (longest // 8 + 1, n)
     assert cells.T.tobytes().translate(None, b"\0") == "".join(f"{v:.15g}" for v in a).encode()
+
+
+@pytest.mark.parametrize("table", ["kernel", "boost"])
+def test_mesh_csv_sorts_nothing(monkeypatch, tmp_path, table):
+    # an axis's cells come straight from their Python text, with no sort to left-justify them
+    def argsort(*args, **kwargs):
+        raise AssertionError("np.argsort called while writing a mesh CSV")
+
+    monkeypatch.setattr(np, "argsort", argsort)
+    path = tmp_path / f"{table}.csv"
+    if table == "kernel":
+        oracle_reduced_density(0.5, uniform_grid(41, 8.0)).to_csv(path)
+    else:
+        assert cli.main(["boost", "--eta=0.3", "--grid=41", f"--out={path}"]) == 0
+    assert len(path.read_bytes().splitlines()) == 41 * 41 + 1
 
 
 @pytest.mark.parametrize("longest", sorted(LONGEST))

@@ -101,16 +101,18 @@ def test_bits_of_0d_input(kernel, reference, eta):
         for pair in ((float(a), float(b)), (a, b), arrays, (int(a), int(b))):
             got = kernel(*pair, eta)
             assert type(got) is float
-            same_bits(got, reference(*pair, eta))
+            # 0-d input takes the bits of the same point inside an array
+            same_bits(got, float(reference(*np.atleast_1d(*pair), eta)[0]))
         assert (arrays[0][()], arrays[1][()]) == (a, b)
 
 
-def test_0d_input_keeps_the_scalar_square():
+@pytest.mark.parametrize("eta", [0.0, 0.44, -2.0, 1.5])
+def test_0d_input_has_the_arrays_bits(eta):
     # a numpy scalar's ** 2 is pow, which is not always the correctly rounded square an
-    # array's ** 2 takes: the 0-d route keeps the scalar's bits where the two differ
+    # array's ** 2 takes: where the two give different psi, 0-d input has the array's bits
     x = np.random.default_rng(12).uniform(-3.0, 3.0, 20000)
     rounded_apart = [v for v, square in zip(x, np.square(x)) if v**2 != square]
-    split = [v for v in rounded_apart if reference_squeezed(v, 0.0, 0.44) != reference_squeezed([v], 0.0, 0.44)[0]]
+    split = [v for v in rounded_apart if reference_squeezed(v, 0.0, eta) != reference_squeezed([v], 0.0, eta)[0]]
     assert split, "no point where pow and the square give different psi"
     for v in split:
-        same_bits(squeezed_gaussian(v, 0.0, 0.44), reference_squeezed(v, 0.0, 0.44))
+        same_bits(squeezed_gaussian(v, 0.0, eta), float(squeezed_gaussian(np.array([v]), 0.0, eta)[0]))

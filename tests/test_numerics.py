@@ -259,8 +259,12 @@ class TestOracleKernel:
         oracle_reduced_density(3.0, uniform_grid(count=801, extent=16.0))
 
     def test_flags_eta_beyond_cap(self):
-        with pytest.raises(GridResolutionError):
-            oracle_reduced_density(6.5, uniform_grid(count=2001, extent=60.0))
+        # the state width sqrt(e^6.5 / 2) = 18.2 fits extent 80, so only the cap can refuse it
+        grid = uniform_grid(count=401, extent=80.0)
+        for eta in (6.5, -6.5):
+            assert check_resolution(eta, grid)[1] is grid
+            with pytest.raises(GridResolutionError, match=r"^\|eta\| = 6.5 beyond supported range 6$"):
+                oracle_reduced_density(eta, grid)
 
     def test_csv_dump(self, tmp_path):
         g = uniform_grid(count=5, extent=4.0)
