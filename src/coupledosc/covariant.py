@@ -178,8 +178,11 @@ def wave_equation_residual(z: float, t: float, eta: float) -> float:
 
 def _four_vectors(a, b) -> tuple[np.ndarray, np.ndarray]:
     """a and b as float (t, x, y, z) arrays; ValueError unless each has 4 finite components."""
-    va = np.asarray(a, dtype=float)
-    vb = np.asarray(b, dtype=float)
+    try:
+        va = np.asarray(a, dtype=float)
+        vb = np.asarray(b, dtype=float)
+    except OverflowError:  # an int component past the float range
+        raise ValueError("four-vectors must be finite") from None
     if va.shape != (4,) or vb.shape != (4,):
         raise ValueError("four-vectors must have exactly 4 components")
     if not (np.all(np.isfinite(va)) and np.all(np.isfinite(vb))):

@@ -35,7 +35,7 @@ from typing import Callable
 import numpy as np
 
 from . import floats
-from .floats import EXP_ETA_MAX, check_count, check_eta, check_table_size, format_floats, record
+from .floats import EXP_ETA_MAX, as_float, check_count, check_eta, check_table_size, format_floats, record
 
 DEFAULT_COUNT = 401
 DEFAULT_EXTENT = 8.0
@@ -96,6 +96,7 @@ def uniform_grid(count: int = DEFAULT_COUNT, extent: float = DEFAULT_EXTENT) -> 
     count = check_count(count, "grid count", 2)
     side = math.isqrt(floats.MAX_TABLE_VALUES)  # the cap check_table_size reads, patched or not
     check_table_size(count ** 2, f"a {count} x {count} mesh", f"use at most {side} grid nodes")
+    extent = as_float(extent)
     h = 2.0 * extent / (count - 1)
     if not 0.0 < h < math.inf:
         raise ValueError(
@@ -105,7 +106,7 @@ def uniform_grid(count: int = DEFAULT_COUNT, extent: float = DEFAULT_EXTENT) -> 
     nodes = np.linspace(-extent, extent, count)
     weights = np.full(count, h)
     weights[0] = weights[-1] = 0.5 * h
-    return QuadratureGrid(_readonly(nodes), _readonly(weights), float(extent), count)
+    return QuadratureGrid(_readonly(nodes), _readonly(weights), extent, count)
 
 
 @lru_cache(maxsize=1)

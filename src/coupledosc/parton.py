@@ -91,7 +91,9 @@ def longitudinal_density(
     The conjugate coordinate is integrated out with the grid weights and the
     result renormalized to unit area on the grid; the variance is computed
     from the tabulated density, not from the closed form, so this is an
-    independent route to the cosh(eta)/2 law.
+    independent route to the cosh(eta)/2 law. psi_eta is symmetric in its two
+    arguments bit for bit, so the qz marginal of phi_eta(qz, q0) = psi_eta(q0, qz)
+    is the z reduction: ``variable`` only names the result.
 
     The mesh is evaluated and reduced MESH_BLOCK_ROWS rows at a time, so
     memory is O(MESH_BLOCK_ROWS * N), never N x N. Each row's sum is the one
@@ -107,11 +109,10 @@ def longitudinal_density(
     from .numerics import MESH_BLOCK_ROWS, GridResolutionError, blocks, check_resolution
 
     eta, g = check_resolution(eta, grid)
-    wavefunction = covariant.boosted_wavefunction if variable == "z" else covariant.momentum_wavefunction
     b = g.nodes[None, :]
     dens = np.empty(g.count)
     for rows in blocks(g.count, MESH_BLOCK_ROWS):
-        amp = wavefunction(g.nodes[rows, None], b, eta)
+        amp = covariant.boosted_wavefunction(g.nodes[rows, None], b, eta)
         dens[rows] = np.multiply(amp, amp, out=amp) @ g.weights
     area = float(g.weights @ dens)
     if area == 0.0:
@@ -131,12 +132,12 @@ def lightcone_fraction(eta: float, band: float = 0.5, grid: "QuadratureGrid | No
     Grows toward 1 as eta increases (the squeezed Gaussian collapses onto
     u = const lines); callers must supply a grid wide enough for e^{eta/2}.
 
-    The density and the band mask are evaluated MESH_BLOCK_ROWS columns of t
-    at a time; each block adds its weighted column sums to two length-N
-    vectors (all mass, mass inside the band), which are then contracted with
-    the weights. Memory is O(MESH_BLOCK_ROWS * N), never N x N. On verify's
-    1201-node grid the result is the one the whole mesh gives on one BLAS
-    thread; on other grids it can move in the last bit.
+    The density is evaluated MESH_BLOCK_ROWS columns of t at a time into one
+    slab: its weighted column sums fill a length-N vector of all mass, then its
+    nodes outside the band are zeroed in place and the sums fill one of mass
+    inside; both are contracted with the weights. Memory is O(MESH_BLOCK_ROWS * N),
+    never N x N. On verify's 1201-node grid the result is the one the whole mesh
+    gives on one BLAS thread; on other grids it can move in the last bit.
 
     Only rows with |z - t| <= 2 sqrt(760 e^-eta) are evaluated: past them
     psi_eta's exponent, at most -e^eta (z - t)^2 / 4, is below -746, where
@@ -156,19 +157,18 @@ def lightcone_fraction(eta: float, band: float = 0.5, grid: "QuadratureGrid | No
     reach = 2.0 * math.sqrt(760.0 * math.exp(-eta))
     w = g.weights
     total, inside = np.empty(g.count), np.empty(g.count)
-    # every block views the same two zeroed slabs as (count, its width) and zeroes its rows when done
-    slabs = np.zeros((2, g.count * MESH_BLOCK_ROWS))
+    # every block views the same zeroed slab as (count, its width) and zeroes its rows when done
+    slab = np.zeros(g.count * MESH_BLOCK_ROWS)
     for cols in blocks(g.count, MESH_BLOCK_ROWS):
         t = g.nodes[None, cols]
         lo, hi = np.searchsorted(g.nodes, (t[0, 0] - reach, t[0, -1] + reach))
         z = g.nodes[lo:hi, None]
-        rho, masked = (slab[: g.count * t.shape[1]].reshape(g.count, -1) for slab in slabs)
-        np.square(covariant.boosted_wavefunction(z, t, eta), out=rho[lo:hi])
-        V = (z - t) / math.sqrt(2.0)
-        np.copyto(masked[lo:hi], rho[lo:hi], where=np.abs(V) < band)
+        rho = slab[: g.count * t.shape[1]].reshape(g.count, -1)
+        live = np.square(covariant.boosted_wavefunction(z, t, eta), out=rho[lo:hi])
         total[cols] = w @ rho
-        inside[cols] = w @ masked
-        rho[lo:hi] = masked[lo:hi] = 0.0
+        live[np.abs((z - t) / math.sqrt(2.0)) >= band] = 0.0
+        inside[cols] = w @ rho
+        live[...] = 0.0
     mass = float(total @ w)
     if mass == 0.0:
         raise GridResolutionError(_UNDERFLOW)

@@ -150,8 +150,8 @@ def _kernel(eta: float):
 
 
 @functools.cache
-def _marginal(eta: float, variable: str):
-    return parton.longitudinal_density(eta, variable)
+def _marginal(eta: float):
+    return parton.longitudinal_density(eta)
 
 
 def _ground_state_mesh(eta: float) -> np.ndarray:
@@ -258,8 +258,7 @@ def check_ground_state_normalization():
 
 @check(1e-15, "positive everywhere, peak 1/sqrt(pi)")
 def check_ground_state_peak_bound():
-    x = default_grid().nodes
-    vals = oscillator.ground_state(x[:, None], x[None, :], 1.5)
+    vals = _ground_state_mesh(1.5)
     bound = math.pi**-0.5
     return max(float(np.max(vals)) - bound, 0.0 if np.all(vals > 0.0) else 1.0)
 
@@ -512,9 +511,7 @@ def check_wave_equation_zero_mode():
 def check_marginal_variance_law():
     dev = 0.0
     for e in (0.0, 0.5, 1.0, 2.0):
-        for var in ("z", "qz"):
-            m = _marginal(e, var)
-            dev = max(dev, abs(m.variance - math.cosh(e) / 2.0))
+        dev = max(dev, abs(_marginal(e).variance - math.cosh(e) / 2.0))
     return dev
 
 
@@ -532,10 +529,9 @@ def check_width_co_growth():
     prods = []
     dev = 0.0
     for e in etas:
-        sz = math.sqrt(_marginal(e, "z").variance)
-        sq = math.sqrt(_marginal(e, "qz").variance)
-        prods.append(sz * sq)
-        dev = max(dev, abs(sz * sq - math.cosh(e) / 2.0))
+        width = math.sqrt(_marginal(e).variance)
+        prods.append(width * width)
+        dev = max(dev, abs(width * width - math.cosh(e) / 2.0))
     return max(dev, float(np.max(-np.diff(prods))), 0.0)
 
 

@@ -1,14 +1,16 @@
+import contextlib
 import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -707,3 +709,99 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             run(["modes", "--m", "1", "--A", "2", "--C", "0", "--frobnicate"])
         assert exc.value.code == 2
+
+
+# --- random argv ------------------------------------------------------------------
+
+def _rarely(bad, good):
+    """``good`` nine times in ten, else ``bad``."""
+    return st.integers(0, 9).flatmap(lambda i: bad if i == 9 else good)
+
+
+# option values as text: small floats, any float (nan, inf, subnormals, huge), ints up
+# to a small cap so every run stays cheap, and paths under the example's directory
+# ("{dir}"); now and then a text that argparse rejects or an int past the float range
+_FLOAT = _rarely(
+    st.sampled_from(["x", "1" + "0" * 400]),
+    st.one_of(st.floats(-4.0, 4.0), st.floats()).map(repr),
+)
+
+
+def _count(cap):
+    return _rarely(st.sampled_from(["1.5", "nan", ""]), st.integers(-3, cap).map(str))
+
+
+def _path(name):
+    return _rarely(st.just("{dir}/missing/" + name), st.just("{dir}/" + name))
+
+
+_OVERLAYS = ["x,value\n0,1\n1,2\n2,4\n", "x,value\n0,1\n1,2,3\n", "x,value\n1,1\n0,2\n",
+             "x,value\n0,nan\n1,2\n", "", "y,value\n0,1\n1,2\n"]
+
+# each subcommand's options: (values, always given); boost and --kernel-csv always take
+# --grid, as their default is the 401-node grid
+_OPTIONS = {
+    "modes": {"--m": (_FLOAT, True), "--A": (_FLOAT, True), "--C": (_FLOAT, True),
+              "--out": (_path("modes.json"), False)},
+    "entangle": {"--eta": (_FLOAT, True), "--kmax": (_count(128), False), "--omega": (_FLOAT, False),
+                 "--out": (_path("entangle.json"), False), "--csv": (_path("p.csv"), False),
+                 "--kernel-csv": (_path("k.csv"), False), "--grid": (_count(41), True),
+                 "--extent": (_FLOAT, False)},
+    "boost": {"--eta": (_FLOAT, True), "--grid": (_count(41), True), "--extent": (_FLOAT, False),
+              "--out": (_path("boost.csv"), True)},
+    "parton": {"--eta": (_FLOAT, True), "--n": (_count(101), False),
+               "--overlay": (_path("overlay.csv"), False),
+               "--rescale": (st.tuples(_FLOAT, _FLOAT).map(",".join), False),
+               "--out": (_path("parton.csv"), True)},
+    "sweep": {"--start": (_FLOAT, True), "--stop": (_FLOAT, True), "--steps": (_count(31), True),
+              "--omega": (_FLOAT, False), "--out": (_path("sweep.csv"), True)},
+}
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(sorted(_OPTIONS)))
+    argv = [command]
+    for name, (values, given_always) in _OPTIONS[command].items():
+        # a required option is left out now and then, for the usage error
+        if draw(st.integers(0, 19)) < 19 if given_always else draw(st.booleans()):
+            argv.append(f"{name}={draw(values)}")
+    if draw(st.integers(0, 9)) == 9:
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(["--bogus=1", "stray", "--eta"])))
+    return argv, draw(st.sampled_from(_OVERLAYS))
+
+
+def _strict_json(text):
+    def reject(constant):
+        raise AssertionError(f"JSON holds {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_argvs())
+def test_random_argv_exits_cleanly(case):
+    argv, overlay = case
+    with tempfile.TemporaryDirectory() as d:
+        with open(os.path.join(d, "overlay.csv"), "w", encoding="utf-8") as fh:
+            fh.write(overlay)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main([arg.replace("{dir}", d) for arg in argv])
+            except SystemExit as exc:
+                code = exc.code
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 1, 2), (argv, code)
+        if code == 0:
+            assert err == ""
+        elif code == 1:
+            assert err.startswith("coupledosc: error: ") and err.count("\n") == 1 and err.endswith("\n")
+        else:
+            assert err.startswith("usage: coupledosc")
+        if out:
+            _strict_json(out)
+        for name in ("modes.json", "entangle.json"):
+            if os.path.exists(os.path.join(d, name)):
+                with open(os.path.join(d, name), encoding="utf-8") as fh:
+                    _strict_json(fh.read())

@@ -198,6 +198,12 @@ class TestHadronVariables:
         with pytest.raises(ValueError, match="the sum or difference of p_a and p_b overflows"):
             momentum_variables((1e308, 0, 0, 0), p_b)
 
+    @pytest.mark.parametrize("fn", [hadron_variables, momentum_variables])
+    @pytest.mark.parametrize("a, b", [((10**400, 0, 0, 0), (1, 0, 0, 0)), ((1, 0, 0, 0), (0, 0, 0, -10**400))])
+    def test_int_component_past_the_float_range(self, fn, a, b):
+        with pytest.raises(ValueError, match="four-vectors must be finite"):
+            fn(a, b)
+
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError):
             hadron_variables((1.0, 2.0, 3.0), (0.0, 0.0, 0.0, 0.0))

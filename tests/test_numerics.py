@@ -55,6 +55,12 @@ class TestGrid:
         with pytest.raises(ValueError):
             uniform_grid(count=count, extent=extent)
 
+    @pytest.mark.parametrize("extent", [10**400, -10**400, math.inf])
+    def test_extent_past_the_float_range(self, extent):
+        # an int extent past the float range is read as +-inf, not left to raise OverflowError
+        with pytest.raises(ValueError, match="grid extent must be positive with a finite, nonzero spacing"):
+            uniform_grid(9, extent)
+
 
 class TestHermite:
     def test_ground_values(self):

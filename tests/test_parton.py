@@ -32,6 +32,8 @@ from coupledosc.parton import (
 )
 
 WIDTH_2 = 1.3715312047276997  # sqrt(cosh(2)/2)
+# (count, extent) grids on which the qz marginal is pinned to the momentum route
+MOMENTUM_GRIDS = [(2, 8.0), (9, 3.0), (65, 8.0), (129, 10.0), (401, 8.0), (801, 12.0), (1201, 24.0)]
 
 
 class TestWidthLaw:
@@ -69,6 +71,22 @@ class TestLongitudinalDensity:
         m = longitudinal_density(1.0)
         assert np.max(np.abs(m.density - model_density(1.0, m.coordinates))) < 1e-8
 
+    @pytest.mark.parametrize("eta", [0.0, 0.5, 1.0, 1.5, 2.0, -0.7])
+    @pytest.mark.parametrize("count, extent", MOMENTUM_GRIDS)
+    def test_momentum_marginal_is_the_momentum_route(self, eta, count, extent):
+        # phi_eta(qz, q0) = psi_eta(q0, qz) bit for bit, so the z reduction gives the
+        # qz marginal with the bits of reducing phi_eta itself
+        g = uniform_grid(count=count, extent=extent)
+        if math.sqrt(math.exp(abs(eta)) / 2.0) > extent / 4.0:
+            with pytest.raises(GridResolutionError):
+                longitudinal_density(eta, "qz", grid=g)
+            return
+        m = longitudinal_density(eta, "qz", grid=g)
+        dens, var = _momentum_route_density(eta, g)
+        assert m.variable == "qz"
+        assert np.array_equal(m.density.view(np.int64), dens.view(np.int64))
+        assert repr(m.variance) == repr(var)
+
     def test_rejects_unknown_variable(self):
         with pytest.raises(ValueError):
             longitudinal_density(1.0, "t")
@@ -104,6 +122,19 @@ class TestLightconeFraction:
         for variable in ("z", "qz"):
             with pytest.raises(GridResolutionError, match="use more nodes"):
                 longitudinal_density(0.0, variable, grid=g)
+
+
+def _momentum_route_density(eta, grid):
+    """(density, variance) of the qz marginal reduced from phi_eta, block by block: the route
+    longitudinal_density took for "qz" before it read the z reduction."""
+    b = grid.nodes[None, :]
+    dens = np.empty(grid.count)
+    for rows in blocks(grid.count, MESH_BLOCK_ROWS):
+        amp = covariant.momentum_wavefunction(grid.nodes[rows, None], b, eta)
+        dens[rows] = np.multiply(amp, amp, out=amp) @ grid.weights
+    dens = dens / float(grid.weights @ dens)
+    mean = float(grid.weights @ (grid.nodes * dens))
+    return dens, float(grid.weights @ ((grid.nodes - mean) ** 2 * dens))
 
 
 def _full_mesh_density(eta, variable, grid):
@@ -196,10 +227,10 @@ class TestBlockedReductions:
         assert peak < 8e6
 
     def test_fraction_reuses_its_slabs(self):
-        # two (1201 x 64) slabs serve every block; with two new ones a block the peak
-        # was 2.58 MiB
+        # one (1201 x 64) slab serves every block, the band zeroed in place; with a second
+        # slab for a masked copy the peak was 2.26 MiB, with two new ones a block 2.58 MiB
         g = uniform_grid(count=1201, extent=24.0)
-        assert _peak_bytes(lambda: lightcone_fraction(4.0, band=0.5, grid=g)) <= 2.58 * 2**20
+        assert _peak_bytes(lambda: lightcone_fraction(4.0, band=0.5, grid=g)) <= 1.8 * 2**20
 
     @pytest.mark.parametrize(
         "call, buffers",
