@@ -38,14 +38,18 @@ _SWEEP_BLOCK_ROWS = 4096
 
 def _emit_json(payload: dict, out: str | None) -> None:
     """Write ``payload`` as indented JSON to ``out`` or stdout, each float at any depth of dicts
-    and lists rounded to its format_floats text, as CSV writes it; other values pass through."""
+    and lists rounded to its format_floats text, as CSV writes it, unless that text would read
+    back as inf; other values pass through."""
     import json
 
     from .floats import format_floats, write_text
 
     def rounded(value):
         if isinstance(value, float):
-            return float(format_floats((value,))[0])
+            # the text of a float within half a 15th-digit unit of the float max reads
+            # back as inf; such a value is written unrounded, so finite stays finite
+            text = float(format_floats((value,))[0])
+            return value if math.isinf(text) and not math.isinf(value) else text
         if isinstance(value, dict):
             return {key: rounded(item) for key, item in value.items()}
         return [rounded(item) for item in value] if isinstance(value, list) else value

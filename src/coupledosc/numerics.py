@@ -49,7 +49,7 @@ MAX_ORACLE_ETA = 6.0
 # 83 at 65536, once they spill. Bounded memory too: a 401 x 401 mesh writes 10 rows a block
 CSV_BLOCK_ROWS = 4096
 
-# rows (or columns) of an N x N mesh reduced at a time: 64 x 1201 floats is 0.6 MB, inside L2.
+# rows of an N x N mesh reduced at a time: 64 x 401 floats, the default grid, is 0.2 MB, inside L2.
 # A multiple of the row groups of OpenBLAS gemv, so each reduced value keeps its bits.
 MESH_BLOCK_ROWS = 64
 

@@ -34,7 +34,7 @@ import warnings
 from typing import TYPE_CHECKING
 
 from .entanglement import width
-from .floats import COSH_ETA_MAX, as_float, check_count, check_eta, check_table_size, record
+from .floats import COSH_ETA_MAX, EXP_ETA_MAX, as_float, check_count, check_eta, check_table_size, record
 
 if TYPE_CHECKING:
     import numpy as np
@@ -42,8 +42,6 @@ if TYPE_CHECKING:
     from .numerics import QuadratureGrid
 
 _VARIABLES = ("z", "qz")
-
-_UNDERFLOW = "the density underflows to 0 on every node, as the grid spacing is too coarse; use more nodes"
 
 # overlays of at most this many bytes skip np.loadtxt for the row loop. Warm, with numpy
 # loaded, the loop reads 1,000 clean rows (32 KiB) in 1.4-1.6 ms against 0.5 ms for
@@ -116,7 +114,8 @@ def longitudinal_density(
         dens[rows] = np.multiply(amp, amp, out=amp) @ g.weights
     area = float(g.weights @ dens)
     if area == 0.0:
-        raise GridResolutionError(_UNDERFLOW)
+        raise GridResolutionError("the density underflows to 0 on every node, as the grid spacing "
+                                  "is too coarse; use more nodes")
     dens = dens / area
     mean = float(g.weights @ (g.nodes * dens))
     var = float(g.weights @ ((g.nodes - mean) ** 2 * dens))
@@ -126,53 +125,18 @@ def longitudinal_density(
     )
 
 
-def lightcone_fraction(eta: float, band: float = 0.5, grid: "QuadratureGrid | None" = None) -> float:
+def lightcone_fraction(eta: float, band: float = 0.5) -> float:
     """Probability mass of |psi_eta|^2 within |v| < band of the light cone u-axis.
 
-    Grows toward 1 as eta increases (the squeezed Gaussian collapses onto
-    u = const lines); callers must supply a grid wide enough for e^{eta/2}.
-
-    The density is evaluated MESH_BLOCK_ROWS columns of t at a time into one
-    slab: its weighted column sums fill a length-N vector of all mass, then its
-    nodes outside the band are zeroed in place and the sums fill one of mass
-    inside; both are contracted with the weights. Memory is O(MESH_BLOCK_ROWS * N),
-    never N x N. On verify's 1201-node grid the result is the one the whole mesh
-    gives on one BLAS thread; on other grids it can move in the last bit.
-
-    Only rows with |z - t| <= 2 sqrt(760 e^-eta) are evaluated: past them
-    psi_eta's exponent, at most -e^eta (z - t)^2 / 4, is below -746, where
-    np.exp gives exactly +0.0. The rest of each block stays zero-filled, so on
-    every grid the result has the bits of evaluating every row.
+    |psi_eta|^2 factorises in light-cone variables, and v has variance e^{-eta}/2, so the
+    mass is erf(band e^{eta/2}): it nears 1 as the state collapses onto u = const lines.
+    e^{eta/2} is positive until it overflows, so band 0 gives 0.0 and band inf gives 1.0.
     """
+    eta = check_eta(eta, 2.0 * EXP_ETA_MAX, "the light-cone scale e^(eta/2)")
     band = as_float(band)
     if not band >= 0.0:
         raise ValueError(f"band must be nonnegative, got {band}")
-    import numpy as np
-
-    from . import covariant
-    from .numerics import MESH_BLOCK_ROWS, GridResolutionError, blocks, check_resolution
-
-    eta, g = check_resolution(eta, grid)
-    # 760 leaves a rounding margin over 746; inf when e^-eta is huge, so every row is live
-    reach = 2.0 * math.sqrt(760.0 * math.exp(-eta))
-    w = g.weights
-    total, inside = np.empty(g.count), np.empty(g.count)
-    # every block views the same zeroed slab as (count, its width) and zeroes its rows when done
-    slab = np.zeros(g.count * MESH_BLOCK_ROWS)
-    for cols in blocks(g.count, MESH_BLOCK_ROWS):
-        t = g.nodes[None, cols]
-        lo, hi = np.searchsorted(g.nodes, (t[0, 0] - reach, t[0, -1] + reach))
-        z = g.nodes[lo:hi, None]
-        rho = slab[: g.count * t.shape[1]].reshape(g.count, -1)
-        live = np.square(covariant.boosted_wavefunction(z, t, eta), out=rho[lo:hi])
-        total[cols] = w @ rho
-        live[np.abs((z - t) / math.sqrt(2.0)) >= band] = 0.0
-        inside[cols] = w @ rho
-        live[...] = 0.0
-    mass = float(total @ w)
-    if mass == 0.0:
-        raise GridResolutionError(_UNDERFLOW)
-    return float(inside @ w) / mass
+    return math.erf(band * math.exp(0.5 * eta))
 
 
 def model_density(eta: float, coords) -> "np.ndarray":

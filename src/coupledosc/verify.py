@@ -537,7 +537,7 @@ def check_width_co_growth():
 
 @check(0.0)
 def check_lightcone_concentration():
-    frac = parton.lightcone_fraction(4.0, band=0.5, grid=uniform_grid(count=1201, extent=24.0))
+    frac = parton.lightcone_fraction(4.0, band=0.5)
     detail = f"mass within |v| < 0.5 at eta=4 is {frac:.6f} (must exceed 0.95)"
     return max(0.0, 0.95 - frac), detail
 

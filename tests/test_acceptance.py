@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from coupledosc import cli, covariant, entanglement, oscillator, parton
-from coupledosc.numerics import oracle_reduced_density, uniform_grid
+from coupledosc.numerics import oracle_reduced_density
 
 SEED = 20260819
 
@@ -181,7 +181,7 @@ def test_criterion_08_parton_widths_and_concentration():
         for var in ("z", "qz"):
             m = parton.longitudinal_density(eta, var)
             dev = max(dev, abs(m.variance - math.cosh(eta) / 2.0))
-    frac = parton.lightcone_fraction(4.0, band=0.5, grid=uniform_grid(count=1201, extent=24.0))
+    frac = parton.lightcone_fraction(4.0, band=0.5)
     ok = dev < tol and frac > 0.95
     assert _report(
         8,

@@ -698,6 +698,17 @@ class TestEmitJson:
         assert json.loads(out.read_text(encoding="utf-8"))["checks"][0]["deviation"] == 0.3
         assert (result.deviation, result.tolerance) == (0.1 + 0.2, 1 / 3)
 
+    def test_floats_next_to_the_float_max_stay_finite(self, capsys):
+        # %.15g rounds +-top up to 1.79769313486232e+308, which reads back as inf; the
+        # third value rounds down, to a finite text, and so is still rounded
+        top = sys.float_info.max
+        cli._emit_json({"top": [top, -top, 1.797693134862315e308]}, None)
+        assert json.loads(capsys.readouterr().out)["top"] == [top, -top, 1.79769313486231e308]
+
+    def test_modes_at_the_float_max_writes_finite_json(self, capsys):
+        assert run(["modes", "--m=1.0", "--A=1.797693134862315e+308", "--C=0.0"]) == 0
+        assert math.isfinite(json.loads(capsys.readouterr().out)["K"])
+
 
 class TestUsage:
     def test_missing_subcommand(self):

@@ -166,8 +166,9 @@ def test_verify_loads_neither_numpy_random_nor_hashlib(tmp_path):
 
 
 def test_parton_import_loads_neither_numpy_nor_numerics():
-    out = _python("-c", "import sys, coupledosc.parton; print('numpy' in sys.modules, "
-                        "'coupledosc.numerics' in sys.modules)")
+    # lightcone_fraction is the closed form erf(band e^{eta/2}), in math alone
+    out = _python("-c", "import sys, coupledosc.parton as p; p.lightcone_fraction(4.0); "
+                        "print('numpy' in sys.modules, 'coupledosc.numerics' in sys.modules)")
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == ["False", "False"]
 

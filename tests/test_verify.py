@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from coupledosc import entanglement, oscillator, parton, verify
-from coupledosc.numerics import hermite_fn, integrate_2d, uniform_grid
+from coupledosc.numerics import hermite_fn, integrate_2d
 
 
 @pytest.fixture(scope="module")
@@ -48,7 +48,7 @@ def test_run_all_runs_entries_replaced_in_place(registry, report):
 
 def test_lightcone_concentration_detail_carries_the_fraction():
     result = verify.check_lightcone_concentration()
-    frac = parton.lightcone_fraction(4.0, band=0.5, grid=uniform_grid(count=1201, extent=24.0))
+    frac = parton.lightcone_fraction(4.0, band=0.5)
     assert result.detail == f"mass within |v| < 0.5 at eta=4 is {frac:.6f} (must exceed 0.95)"
     assert result.deviation == max(0.0, 0.95 - frac)
 
