@@ -4,7 +4,8 @@ parton marginals, parameter sweeps, and the self-verification report.
 All numeric output has 15 significant digits, from floats.format_floats, and
 every file goes through one sink, floats.write_text. Every CSV is UTF-8 with LF
 line endings and a header row: numerics.write_csv writes the array tables and
-sweep its rows, and _emit_json rounds every JSON float through format_floats.
+entanglement.write_sweep the sweep's rows, and _emit_json rounds every JSON float
+through format_floats.
 Every command is deterministic: the same invocation produces the same bytes.
 Each command imports what it runs, so modes, sweep, --help and usage errors
 start without numpy. entangle runs every check on its input first and loads
@@ -28,12 +29,8 @@ import argparse
 import math
 import os
 import sys
-from array import array
 
 _PROG = "coupledosc"
-
-# rows of the sweep formatted and written at a time, so its text stays a bounded size
-_SWEEP_BLOCK_ROWS = 4096
 
 
 def _emit_json(payload: dict, out: str | None) -> None:
@@ -150,55 +147,10 @@ def cmd_parton(args) -> int:
     return 0
 
 
-def _linspace(start: float, stop: float, steps: int) -> array:
-    """np.linspace(start, stop, steps), bit for bit, as an array of doubles."""
-    delta = stop - start
-    div = steps - 1
-    if div == 0:
-        return array("d", [0.0 * delta + start])
-    step = delta / div
-    if step == 0.0:
-        # numpy's branch for a step that underflows: divide i before scaling by delta
-        grid = array("d", (i / div * delta + start for i in range(steps)))
-    else:
-        grid = array("d", (i * step + start for i in range(steps)))
-    grid[-1] = stop
-    return grid
-
-
-def _write_sweep(dest, start: float, stop: float, steps: int, omega: float) -> None:
-    from . import entanglement
-    from .floats import check_count, check_table_size, format_floats, write_text
-
-    steps = check_count(steps, "steps", 1)
-    check_table_size(steps, f"a sweep of --steps={steps} rows", "use fewer steps")
-    if not math.isfinite(stop - start):
-        raise ValueError(
-            f"the sweep range {start:g} to {stop:g} has no finite width; use a narrower range"
-        )
-    omega = entanglement.check_omega(omega)
-    etas = _linspace(start, stop, steps)
-
-    def temperature(eta):
-        return entanglement._thermal_map(eta, omega)[1]
-
-    # column by column, as doubles: a value that fails raises before any file is opened
-    columns = [etas] + [
-        array("d", map(f, etas))
-        for f in (entanglement.purity, entanglement.entropy, temperature, entanglement.width)
-    ]
-
-    def text():
-        yield "eta,purity,entropy,T,width_z,width_qz\n"
-        for first in range(0, steps, _SWEEP_BLOCK_ROWS):
-            block = (format_floats(c[first:first + _SWEEP_BLOCK_ROWS]) for c in columns)
-            yield "".join(f"{e},{p},{s},{t},{w},{w}\n" for e, p, s, t, w in zip(*block))
-
-    write_text(dest, text())
-
-
 def cmd_sweep(args) -> int:
-    _write_sweep(args.out, args.start, args.stop, args.steps, args.omega)
+    from . import entanglement
+
+    entanglement.write_sweep(args.out, args.start, args.stop, args.steps, args.omega)
     return 0
 
 
@@ -316,7 +268,4 @@ def run() -> None:
 
 
 if __name__ == "__main__":
-    if __spec__ is not None:
-        # verify's `from . import cli` then finds this module instead of running cli.py again
-        sys.modules.setdefault(__spec__.name, sys.modules[__name__])
     run()

@@ -119,10 +119,10 @@ def boosted_wavefunction(z, t, eta: float):
     eta = check_eta(eta, EXP_ETA_MAX, "psi_eta")
     za = np.asarray(z, dtype=float)
     ta = np.asarray(t, dtype=float)
-    u = (za + ta) / _SQRT2
-    v = (za - ta) / _SQRT2
-    # a product that overflows to inf gives exp(-inf) = 0, the right value
+    # a sum or product that overflows to inf gives exp(-inf) = 0, the right value
     with np.errstate(over="ignore"):
+        u = (za + ta) / _SQRT2
+        v = (za - ta) / _SQRT2
         s = math.exp(-eta) * u * u
         del u  # the result takes its place: at most three meshes are alive
         out = math.exp(eta) * v * v

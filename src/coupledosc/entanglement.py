@@ -27,7 +27,8 @@ nu = cosh(eta)/2, so its width is sqrt(nu); this is the width of either
 longitudinal marginal of the boosted state (parton re-exports it).
 
 The scalar closed forms (purity, entropy, the thermal map, the width) need
-only math; the array functions (schmidt_coefficients, reduced_state,
+only math, and so does write_sweep, which tabulates them over an eta range for
+the CLI's sweep; the array functions (schmidt_coefficients, reduced_state,
 purity_series, FockExpansion.reconstruct) import numpy when called, and
 schmidt_coefficients and reduced_state only after their guards
 (_check_schmidt, _check_spectrum) pass, so a rejected input never loads it.
@@ -35,9 +36,13 @@ schmidt_coefficients and reduced_state only after their guards
 
 import math
 import sys
+from array import array
 from typing import TYPE_CHECKING
 
-from .floats import COSH_ETA_MAX, EXP_ETA_MAX, as_float, check_count, check_eta, record
+from .floats import (
+    COSH_ETA_MAX, EXP_ETA_MAX, as_float, check_count, check_eta, check_table_size, format_floats,
+    record, write_text,
+)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -48,6 +53,9 @@ SMALL_ETA = 0.01
 # largest truncation order accepted, so k_max + 1 floats stay a bounded allocation;
 # for |eta| <= 6 (the oracle's cap) every p_k past it is below 1e-300
 K_MAX_CAP = 100_000
+
+# rows of the sweep formatted and written at a time, so its text stays a bounded size
+_SWEEP_BLOCK_ROWS = 4096
 
 
 @record
@@ -225,6 +233,49 @@ def _thermal_map(eta: float, omega: float) -> tuple[float | None, float]:
             f"omega must be at least {x * math.ulp(0.0):.6g}, got {omega:g}"
         )
     return x, temperature
+
+
+def _linspace(start: float, stop: float, steps: int) -> array:
+    """np.linspace(start, stop, steps), bit for bit, as an array of doubles."""
+    delta = stop - start
+    div = steps - 1
+    if div == 0:
+        return array("d", [0.0 * delta + start])
+    step = delta / div
+    if step == 0.0:
+        # numpy's branch for a step that underflows: divide i before scaling by delta
+        grid = array("d", (i / div * delta + start for i in range(steps)))
+    else:
+        grid = array("d", (i * step + start for i in range(steps)))
+    grid[-1] = stop
+    return grid
+
+
+def write_sweep(dest, start: float, stop: float, steps: int, omega: float) -> None:
+    """Write eta, purity, entropy, T and both marginal widths at ``steps`` etas from
+    ``start`` to ``stop`` as CSV to ``dest``, a path or an open text file."""
+    steps = check_count(steps, "steps", 1)
+    check_table_size(steps, f"a sweep of --steps={steps} rows", "use fewer steps")
+    if not math.isfinite(stop - start):
+        raise ValueError(
+            f"the sweep range {start:g} to {stop:g} has no finite width; use a narrower range"
+        )
+    omega = check_omega(omega)
+    etas = _linspace(start, stop, steps)
+
+    def temperature(eta):
+        return _thermal_map(eta, omega)[1]
+
+    # column by column, as doubles: a value that fails raises before any file is opened
+    columns = [etas] + [array("d", map(f, etas)) for f in (purity, entropy, temperature, width)]
+
+    def text():
+        yield "eta,purity,entropy,T,width_z,width_qz\n"
+        for first in range(0, steps, _SWEEP_BLOCK_ROWS):
+            block = (format_floats(c[first:first + _SWEEP_BLOCK_ROWS]) for c in columns)
+            yield "".join(f"{e},{p},{s},{t},{w},{w}\n" for e, p, s, t, w in zip(*block))
+
+    write_text(dest, text())
 
 
 def effective_temperature(eta: float, omega: float = 1.0) -> ThermalMap:

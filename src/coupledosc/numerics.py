@@ -18,7 +18,8 @@ The reduced-density oracle tabulates a two-argument wavefunction on the grid
 and contracts one argument with the quadrature weights; all spectral claims
 (Schmidt coefficients, purity, entropy) are validated against it. Every
 array table the package writes goes through write_csv, which hands its text to
-floats.write_text; its renderer and the sweep format floats with floats.format_floats.
+floats.write_text; its renderer and entanglement.write_sweep format floats with
+floats.format_floats.
 The eta, count and table-size guards live in floats, which needs no numpy.
 
 The squeezed Gaussian has two routes. squeezed_gaussian, in x1 +- x2, serves

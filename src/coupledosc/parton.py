@@ -41,8 +41,6 @@ if TYPE_CHECKING:
 
     from .numerics import QuadratureGrid
 
-_VARIABLES = ("z", "qz")
-
 # overlays of at most this many bytes skip np.loadtxt for the row loop. Warm, with numpy
 # loaded, the loop reads 1,000 clean rows (32 KiB) in 1.4-1.6 ms against 0.5 ms for
 # loadtxt, and 2,000 (64 KiB) in 2.8-3.0 against 0.9-1.0 ms: up to this size a clean file
@@ -60,7 +58,6 @@ class OverlayValidationError(ValueError):
 
 @record
 class MarginalDistribution:
-    variable: str
     eta: float
     coordinates: "np.ndarray"
     density: "np.ndarray"
@@ -81,17 +78,15 @@ class OverlaySeries:
         write_csv(path, ("x", "value"), (self.x, self.values))
 
 
-def longitudinal_density(
-    eta: float, variable: str = "z", grid: "QuadratureGrid | None" = None
-) -> MarginalDistribution:
-    """Marginal of the squared wavefunction along z or qz, by quadrature.
+def longitudinal_density(eta: float, grid: "QuadratureGrid | None" = None) -> MarginalDistribution:
+    """Marginal of |psi_eta|^2 along z by quadrature, equal to that of |phi_eta|^2 along qz.
 
     The conjugate coordinate is integrated out with the grid weights and the
     result renormalized to unit area on the grid; the variance is computed
     from the tabulated density, not from the closed form, so this is an
     independent route to the cosh(eta)/2 law. psi_eta is symmetric in its two
     arguments bit for bit, so the qz marginal of phi_eta(qz, q0) = psi_eta(q0, qz)
-    is the z reduction: ``variable`` only names the result.
+    is this z reduction.
 
     The mesh is evaluated and reduced MESH_BLOCK_ROWS rows at a time, so
     memory is O(MESH_BLOCK_ROWS * N), never N x N. Each row's sum is the one
@@ -99,8 +94,6 @@ def longitudinal_density(
     (65, 129, 801, 1201) OpenBLAS may group a row's terms differently and the
     density can move in the last bit.
     """
-    if variable not in _VARIABLES:
-        raise ValueError(f"variable must be one of {_VARIABLES}, got {variable!r}")
     import numpy as np
 
     from . import covariant
@@ -120,9 +113,7 @@ def longitudinal_density(
     mean = float(g.weights @ (g.nodes * dens))
     var = float(g.weights @ ((g.nodes - mean) ** 2 * dens))
     dens.flags.writeable = False
-    return MarginalDistribution(
-        variable=variable, eta=eta, coordinates=g.nodes, density=dens, variance=var
-    )
+    return MarginalDistribution(eta=eta, coordinates=g.nodes, density=dens, variance=var)
 
 
 def lightcone_fraction(eta: float, band: float = 0.5) -> float:

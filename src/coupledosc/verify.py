@@ -566,11 +566,9 @@ def check_overlay_roundtrip():
 
 @check(0.0, "identical bytes on repeat runs")
 def check_cli_determinism():
-    from . import cli
-
     buf1, buf2 = io.StringIO(), io.StringIO()
-    cli._write_sweep(buf1, 0.0, 2.0, 5, 1.0)
-    cli._write_sweep(buf2, 0.0, 2.0, 5, 1.0)
+    entanglement.write_sweep(buf1, 0.0, 2.0, 5, 1.0)
+    entanglement.write_sweep(buf2, 0.0, 2.0, 5, 1.0)
     same = buf1.getvalue() == buf2.getvalue() and len(buf1.getvalue()) > 0
     return 0.0 if same else 1.0
 

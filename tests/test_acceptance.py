@@ -178,9 +178,8 @@ def test_criterion_08_parton_widths_and_concentration():
     tol = 1e-6
     dev = 0.0
     for eta in (0.0, 1.0, 2.0):
-        for var in ("z", "qz"):
-            m = parton.longitudinal_density(eta, var)
-            dev = max(dev, abs(m.variance - math.cosh(eta) / 2.0))
+        m = parton.longitudinal_density(eta)
+        dev = max(dev, abs(m.variance - math.cosh(eta) / 2.0))
     frac = parton.lightcone_fraction(4.0, band=0.5)
     ok = dev < tol and frac > 0.95
     assert _report(

@@ -14,7 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from coupledosc import cli, numerics
+from coupledosc import cli, entanglement, numerics
 
 
 # the one error line of an omega so small that T = omega/x rounds to zero at eta = 0.5
@@ -406,13 +406,13 @@ class TestSweep:
     ])
     def test_write_sweep_checks_the_count(self, steps, message):
         with pytest.raises(ValueError) as exc:
-            cli._write_sweep(io.StringIO(), 0.0, 1.0, steps, 1.0)
+            entanglement.write_sweep(io.StringIO(), 0.0, 1.0, steps, 1.0)
         assert str(exc.value) == message
 
     def test_integral_float_steps_is_a_count(self):
         as_float, as_int = io.StringIO(), io.StringIO()
-        cli._write_sweep(as_float, 0.0, 1.0, 3.0, 1.0)
-        cli._write_sweep(as_int, 0.0, 1.0, 3, 1.0)
+        entanglement.write_sweep(as_float, 0.0, 1.0, 3.0, 1.0)
+        entanglement.write_sweep(as_int, 0.0, 1.0, 3, 1.0)
         assert as_float.getvalue() == as_int.getvalue()
 
     def test_widest_finite_range_exits_1_without_warning(self, tmp_path, capsys):
@@ -430,11 +430,11 @@ class TestSweep:
 
 
 class TestLinspace:
-    """cli._linspace builds the sweep's eta grid without numpy, bit for bit as np.linspace."""
+    """entanglement._linspace builds the sweep's eta grid without numpy, bit for bit as np.linspace."""
 
     @staticmethod
     def assert_bits_equal(start, stop, steps):
-        ours = np.frombuffer(cli._linspace(start, stop, steps), dtype=float)
+        ours = np.frombuffer(entanglement._linspace(start, stop, steps), dtype=float)
         # at the widest ranges i * step overflows for the last i, whose value is then set to stop
         with np.errstate(over="ignore"):
             theirs = np.linspace(start, stop, steps)
@@ -589,6 +589,17 @@ def test_cli_import_leaves_verify_unloaded():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     assert out.stdout.strip() == "['coupledosc', 'coupledosc.cli']"
+
+
+def test_verify_leaves_cli_unloaded():
+    # the library's self-check runs without the front end: cli imports verify, not back
+    code = (
+        "import sys, coupledosc.verify as v; v.run_all(); "
+        "print('coupledosc.cli' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "False"
 
 
 # --- exact JSON text ------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -126,6 +127,14 @@ class TestWavefunctions:
         z, t = nodes[:, None], nodes[None, :]
         phi, psi = momentum_wavefunction(z, t, eta), boosted_wavefunction(z, t, eta)
         assert np.array_equal(phi.view(np.int64), psi.view(np.int64))
+
+    @pytest.mark.parametrize("kernel", [boosted_wavefunction, momentum_wavefunction])
+    @pytest.mark.parametrize("z, t", [(1e308, 1e308), (1e308, -1e308)])
+    def test_overflowing_light_cone_sum_is_silent(self, kernel, z, t):
+        # z + t or z - t overflows to inf, where the state is exp(-inf) = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert kernel(z, t, 0.0) == 0.0
 
     def test_rejects_nonfinite_eta(self):
         with pytest.raises(ValueError):

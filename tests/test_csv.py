@@ -467,7 +467,7 @@ def test_parton_overlay_csv(tmp_path):
 
 def test_sweep_csv():
     buf = io.StringIO()
-    cli._write_sweep(buf, -1.0, 2.0, 13, 1.5)
+    entanglement.write_sweep(buf, -1.0, 2.0, 13, 1.5)
     rows = []
     for eta in np.linspace(-1.0, 2.0, 13):
         eta = float(eta)
@@ -482,7 +482,7 @@ def test_long_sweep_keeps_the_scalar_closed_forms():
     # 10,001 rows, three of the sweep's 4096-row blocks. The closed forms stay one math call
     # per eta: numpy's cosh, exp and log1p differ from math's in the last bit on some etas
     buf = io.StringIO()
-    cli._write_sweep(buf, 0.99, 2.87, 10_001, 1.0)
+    entanglement.write_sweep(buf, 0.99, 2.87, 10_001, 1.0)
     rows = []
     for eta in np.linspace(0.99, 2.87, 10_001).tolist():
         w = parton.width(eta)
@@ -496,10 +496,10 @@ def test_sweep_memory_is_bounded():
     # 100,001 rows: the five columns are 8-byte doubles (3.8 MiB) and the text is built a
     # block at a time. The ceiling is the 6.3 MiB the sweep took through numpy columns and
     # write_csv, rounded up; each column held as a list of Python floats would add 2.3 MiB
-    cli._write_sweep(os.devnull, -3.0, 3.0, 11, 1.0)
+    entanglement.write_sweep(os.devnull, -3.0, 3.0, 11, 1.0)
     tracemalloc.start()
     try:
-        cli._write_sweep(os.devnull, -3.0, 3.0, 100_001, 1.0)
+        entanglement.write_sweep(os.devnull, -3.0, 3.0, 100_001, 1.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

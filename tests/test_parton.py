@@ -68,7 +68,8 @@ class TestLongitudinalDensity:
     @pytest.mark.parametrize("eta", [0.0, 0.5, 1.0, 2.0])
     @pytest.mark.parametrize("variable", ["z", "qz"])
     def test_variance_matches_closed_form(self, eta, variable):
-        m = longitudinal_density(eta, variable)
+        # one marginal stands for both variables
+        m = longitudinal_density(eta)
         assert abs(m.variance - math.cosh(eta) / 2.0) < 1e-6
         assert abs(m.variance - width(eta) ** 2) < 1e-6
 
@@ -79,9 +80,9 @@ class TestLongitudinalDensity:
 
     def test_momentum_marginal_equals_position_marginal(self):
         # co-growth: the two marginals are the same function of eta
-        mz = longitudinal_density(1.5, "z")
-        mq = longitudinal_density(1.5, "qz")
-        assert_allclose(mq.density, mz.density, atol=1e-15)
+        mz = longitudinal_density(1.5)
+        mq, _ = _momentum_route_density(1.5, default_grid())
+        assert_allclose(mq, mz.density, atol=1e-15)
 
     def test_matches_analytic_density(self):
         m = longitudinal_density(1.0)
@@ -95,17 +96,12 @@ class TestLongitudinalDensity:
         g = uniform_grid(count=count, extent=extent)
         if math.sqrt(math.exp(abs(eta)) / 2.0) > extent / 4.0:
             with pytest.raises(GridResolutionError):
-                longitudinal_density(eta, "qz", grid=g)
+                longitudinal_density(eta, grid=g)
             return
-        m = longitudinal_density(eta, "qz", grid=g)
+        m = longitudinal_density(eta, grid=g)
         dens, var = _momentum_route_density(eta, g)
-        assert m.variable == "qz"
         assert np.array_equal(m.density.view(np.int64), dens.view(np.int64))
         assert repr(m.variance) == repr(var)
-
-    def test_rejects_unknown_variable(self):
-        with pytest.raises(ValueError):
-            longitudinal_density(1.0, "t")
 
     def test_underresolved_grid_flagged(self):
         with pytest.raises(GridResolutionError):
@@ -144,14 +140,13 @@ class TestLightconeFraction:
     def test_mesh_that_underflows_everywhere(self):
         # psi_0 at (+-1e200, +-1e200) underflows: there is no mass to divide by
         g = uniform_grid(count=2, extent=1e200)
-        for variable in ("z", "qz"):
-            with pytest.raises(GridResolutionError, match="use more nodes"):
-                longitudinal_density(0.0, variable, grid=g)
+        with pytest.raises(GridResolutionError, match="use more nodes"):
+            longitudinal_density(0.0, grid=g)
 
 
 def _momentum_route_density(eta, grid):
     """(density, variance) of the qz marginal reduced from phi_eta, block by block: the route
-    longitudinal_density took for "qz" before it read the z reduction."""
+    longitudinal_density took for qz before it read the z reduction."""
     b = grid.nodes[None, :]
     dens = np.empty(grid.count)
     for rows in blocks(grid.count, MESH_BLOCK_ROWS):
@@ -194,7 +189,7 @@ class TestBlockedReductions:
     @pytest.mark.parametrize("eta", [0.0, 0.5, 1.0, 1.5, 2.0])
     @pytest.mark.parametrize("variable", ["z", "qz"])
     def test_density_bits_on_verify_inputs(self, eta, variable):
-        m = longitudinal_density(eta, variable)
+        m = longitudinal_density(eta)
         dens, var = _full_mesh_density(eta, variable, default_grid())
         assert np.array_equal(m.density, dens)
         assert repr(m.variance) == repr(var)
@@ -203,7 +198,7 @@ class TestBlockedReductions:
     @pytest.mark.parametrize("variable", ["z", "qz"])
     def test_density_on_block_edges(self, count, variable):
         g = uniform_grid(count=count, extent=8.0)
-        m = longitudinal_density(1.0, variable, grid=g)
+        m = longitudinal_density(1.0, grid=g)
         dens, var = _full_mesh_density(1.0, variable, g)
         assert_allclose(m.density, dens, rtol=1e-14, atol=0.0)
         assert_allclose(m.variance, var, rtol=1e-14)

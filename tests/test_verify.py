@@ -95,14 +95,14 @@ def test_parton_checks_share_the_marginals(monkeypatch):
     calls = count_calls(monkeypatch, parton, "longitudinal_density")
     law, growth = verify.check_marginal_variance_law(), verify.check_width_co_growth()
     assert sorted(calls) == [(e,) for e in (0.0, 0.5, 1.0, 1.5, 2.0)]
-    # the deviations of the loops they replaced, with a z and a qz marginal per eta
-    dev = max(abs(parton.longitudinal_density(e, v).variance - math.cosh(e) / 2.0)
-              for e in (0.0, 0.5, 1.0, 2.0) for v in ("z", "qz"))
+    # the deviations of the loops they replaced, which took a z and a qz marginal per eta;
+    # one marginal now stands for both
+    dev = max(abs(parton.longitudinal_density(e).variance - math.cosh(e) / 2.0)
+              for e in (0.0, 0.5, 1.0, 2.0))
     assert law.deviation == dev
     prods, dev = [], 0.0
     for e in (0.0, 0.5, 1.0, 1.5, 2.0):
-        sz = math.sqrt(parton.longitudinal_density(e, "z").variance)
-        sq = math.sqrt(parton.longitudinal_density(e, "qz").variance)
+        sz = sq = math.sqrt(parton.longitudinal_density(e).variance)
         prods.append(sz * sq)
         dev = max(dev, abs(sz * sq - math.cosh(e) / 2.0))
     assert growth.deviation == max(dev, float(np.max(-np.diff(prods))), 0.0)
