@@ -220,7 +220,8 @@ class DensityKernel:
         return float(phi @ self.values @ phi)
 
     def asymmetry(self) -> float:
-        return float(np.max(np.abs(self.values - self.values.T)))
+        diff = self.values - self.values.T
+        return float(np.max(np.abs(diff, out=diff)))
 
     def to_csv(self, path) -> None:
         """Write (x, x_prime, value) triples for debugging."""
@@ -249,7 +250,8 @@ def squeezed_gaussian(x1, x2, eta: float):
         d *= ep
         s += d
         del d  # before exp's argument, so at most two meshes are alive
-        out = np.exp(-0.25 * s, out=np.asarray(s))
+        s *= -0.25
+        out = np.exp(s, out=np.asarray(s))
         out *= np.pi ** -0.5
     return out if out.ndim else float(out)
 

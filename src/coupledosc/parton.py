@@ -192,7 +192,7 @@ def ingest_overlay(path) -> OverlaySeries:
             raise OverlayParseError(f"line {reader.line_num}: {exc}") from None
         if [c.strip() for c in header] != ["x", "value"]:
             raise OverlayParseError(f"line 1: expected header 'x,value', got {','.join(header)!r}")
-        table = _load_rows(fh, path) if os.fstat(fh.fileno()).st_size > LOOP_MAX_BYTES else None
+        table = _load_rows(path) if os.fstat(fh.fileno()).st_size > LOOP_MAX_BYTES else None
         if table is None:
             fh.seek(0)
             reader = csv.reader(fh)
@@ -204,8 +204,11 @@ def ingest_overlay(path) -> OverlaySeries:
     return OverlaySeries(x=x, values=v, source=str(path))
 
 
-def _load_rows(fh, path):
-    """(x, values) of the rows left in ``fh`` by one np.loadtxt call, or None.
+def _load_rows(path):
+    """(x, values) of the rows after the header line by one np.loadtxt call, or None.
+
+    Given the path, numpy's C reader reads the file in chunks, not one Python
+    str per line. A quoted header over several lines leaves a quote to fail on.
 
     None unless numpy parses every row into two fields, the table has at
     least two rows, every value is finite and x strictly increases, and no
@@ -219,7 +222,8 @@ def _load_rows(fh, path):
         with warnings.catch_warnings():
             # a header-only file warns "input contained no data"
             warnings.simplefilter("ignore")
-            data = np.loadtxt(fh, delimiter=",", comments=None, quotechar=None, ndmin=2)
+            data = np.loadtxt(path, delimiter=",", comments=None, quotechar=None, ndmin=2,
+                              skiprows=1, encoding="utf-8")
     except ValueError:
         return None
     if data.shape[0] < 2 or data.shape[1] != 2 or not np.all(np.isfinite(data)):

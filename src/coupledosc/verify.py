@@ -144,9 +144,22 @@ def _max_abs(a, b) -> float:
     return float(np.max(np.abs(diff, out=diff)))
 
 
+@record
+class _KernelReadings:
+    """What _kernel caches of an oracle kernel in place of its table; fock[k] = <phi_k|rho|phi_k>."""
+
+    trace: float
+    purity: float
+    asymmetry: float
+    fock: tuple
+
+
 @functools.cache
-def _kernel(eta: float):
-    return oracle_reduced_density(eta)
+def _kernel(eta: float) -> _KernelReadings:
+    """The kernel checks' readings at eta; the 401^2 table is freed on return."""
+    kern = oracle_reduced_density(eta)
+    fock = tuple(kern.fock_projection(k) for k in range(11))
+    return _KernelReadings(kern.trace(), kern.purity(), kern.asymmetry(), fock)
 
 
 @functools.cache
@@ -197,12 +210,12 @@ def check_hermite_stability_k128():
 
 @check(1e-12)
 def check_oracle_kernel_symmetry():
-    return _kernel(1.0).asymmetry()
+    return _kernel(1.0).asymmetry
 
 
 @check(1e-7)
 def check_oracle_kernel_trace():
-    return max(abs(_kernel(e).trace() - 1.0) for e in (0.5, 1.0, 2.0))
+    return max(abs(_kernel(e).trace - 1.0) for e in (0.5, 1.0, 2.0))
 
 
 @check(1e-6)
@@ -313,9 +326,9 @@ def check_reduced_eigenvalues_vs_oracle():
     dev = 0.0
     for e in (0.5, 1.0, 2.0):
         p = entanglement.reduced_state(e, k_max=10).eigenvalues
-        kern = _kernel(e)
+        fock = _kernel(e).fock
         for k in range(11):
-            dev = max(dev, abs(kern.fock_projection(k) - p[k]))
+            dev = max(dev, abs(fock[k] - p[k]))
     return dev
 
 
@@ -338,7 +351,7 @@ def check_purity_closed_vs_series():
 
 @check(1e-6, "1/cosh(eta) vs Tr rho^2 by quadrature")
 def check_purity_closed_vs_grid():
-    return max(abs(entanglement.purity(e) - _kernel(e).purity()) for e in (0.0, 0.5, 1.0, 2.0))
+    return max(abs(entanglement.purity(e) - _kernel(e).purity) for e in (0.0, 0.5, 1.0, 2.0))
 
 
 @check(1e-9, "closed form vs -sum p ln p at k_max=128")

@@ -144,8 +144,8 @@ def test_every_file_is_closed_before_main_returns(name, tmp_path, monkeypatch, c
 
 
 def test_verify_reuses_the_running_module(tmp_path):
-    # under python -m, cli runs as __main__; verify's `from . import cli` must
-    # find it in sys.modules rather than compile and run cli.py a second time
+    # under python -m, cli runs as __main__; verify must not load the front end,
+    # which would compile and run cli.py a second time as coupledosc.cli
     child = _child(["verify", "--out=r.json"], tmp_path, env=dict(ENV, PYTHONPROFILEIMPORTTIME="1"))
     assert child.returncode == 1
     imported = re.findall(r"^import time:.*\|\s*(\S+)$", child.stderr, re.M)

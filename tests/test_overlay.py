@@ -75,6 +75,8 @@ CASES = {
     "header_only": "x,value\n",
     "empty_file": "",
     "bad_header": "a,b\n0,1\n1,2\n",
+    # np.loadtxt skips one line of header; the csv module reads this one from two
+    "header_spans_lines": '"x\n",value\n0,1\n1,2\n',
     "short_last_row": "x,value\n0,1\n1,2\n3\n",
     "three_columns": "x,value\n0,1,2\n1,2,3\n",
     "one_column": "x,value\n0\n1\n",

@@ -16,8 +16,9 @@ from coupledosc import numerics
 
 SRC = Path(numerics.__file__).parent
 
-# code, not the formulas in docstrings: each pattern starts at an np./math. call
-QUARTER_FORM = re.compile(r"\b(np|math)\.exp\(\s*-0\.25\s*\*")
+# code, not the formulas in docstrings: each pattern starts at an np./math. call, or
+# at the in-place scaling `*= -0.25` by which squeezed_gaussian forms the quarter form
+QUARTER_FORM = re.compile(r"\b(np|math)\.exp\(\s*-0\.25\s*\*|\*=\s*-0\.25\b")
 LIGHTCONE_FORM = re.compile(r"\b(np|math)\.exp\(\s*-?eta\s*\)\s*\*\s*(\w+)\s*\*\s*\2\b")
 RECURRENCE = re.compile(r"\b(np|math)\.sqrt\(\s*\w+(\.\d+)?\s*/\s*\(\s*\w+\s*\+\s*1(\.0)?\s*\)\s*\)")
 # every command checks --omega through one helper, at eta = 0 too

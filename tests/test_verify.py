@@ -6,12 +6,13 @@ is tested against numpy here.
 
 import math
 import platform
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from coupledosc import entanglement, oscillator, parton, verify
-from coupledosc.numerics import hermite_fn, integrate_2d
+from coupledosc.numerics import default_grid, hermite_fn, integrate_2d, oracle_reduced_density
 
 
 @pytest.fixture(scope="module")
@@ -107,6 +108,63 @@ def test_parton_checks_share_the_marginals(monkeypatch):
         dev = max(dev, abs(sz * sq - math.cosh(e) / 2.0))
     assert growth.deviation == max(dev, float(np.max(-np.diff(prods))), 0.0)
     assert growth.passed
+
+
+KERNEL_ETAS = (0.0, 0.5, 1.0, 2.0)
+KERNEL_CHECKS = ("oracle_kernel_symmetry", "oracle_kernel_trace",
+                 "reduced_eigenvalues_vs_oracle", "purity_closed_vs_grid")
+
+
+def test_kernel_cache_holds_readings_not_tables():
+    verify._kernel.cache_clear()
+    verify.run_all()
+    info = verify._kernel.cache_info()
+    assert info.currsize == len(KERNEL_ETAS)
+    readings = [verify._kernel(e) for e in KERNEL_ETAS]
+    assert verify._kernel.cache_info().misses == info.misses
+    for r in readings:
+        assert list(vars(r)) == ["trace", "purity", "asymmetry", "fock"]
+        assert all(type(v) is float for v in (r.trace, r.purity, r.asymmetry, *r.fock))
+
+
+@pytest.mark.parametrize("eta", KERNEL_ETAS)
+def test_kernel_readings_are_the_methods_bits(eta):
+    kern, r = oracle_reduced_density(eta), verify._kernel(eta)
+    assert repr(r.trace) == repr(kern.trace())
+    assert repr(r.purity) == repr(kern.purity())
+    assert repr(r.asymmetry) == repr(kern.asymmetry())
+    assert repr(r.fock) == repr(tuple(kern.fock_projection(k) for k in range(11)))
+
+
+def test_kernel_checks_keep_the_deviations_of_the_method_calls():
+    kern = {e: oracle_reduced_density(e) for e in KERNEL_ETAS}
+    assert verify.check_oracle_kernel_symmetry().deviation == kern[1.0].asymmetry()
+    assert verify.check_oracle_kernel_trace().deviation == max(
+        abs(kern[e].trace() - 1.0) for e in (0.5, 1.0, 2.0))
+    dev = 0.0
+    for e in (0.5, 1.0, 2.0):
+        p = entanglement.reduced_state(e, k_max=10).eigenvalues
+        for k in range(11):
+            dev = max(dev, abs(kern[e].fock_projection(k) - p[k]))
+    assert verify.check_reduced_eigenvalues_vs_oracle().deviation == dev
+    assert verify.check_purity_closed_vs_grid().deviation == max(
+        abs(entanglement.purity(e) - kern[e].purity()) for e in KERNEL_ETAS)
+
+
+def test_kernel_checks_hold_one_table_at_a_time():
+    # each kernel is read and freed inside _kernel: the table and one temporary at a time
+    verify._kernel.cache_clear()
+    checks = [c for c in verify.CHECKS if c.__name__.removeprefix("check_") in KERNEL_CHECKS]
+    assert len(checks) == len(KERNEL_CHECKS)
+    n = default_grid().nodes.size
+    tracemalloc.start()
+    try:
+        for run in checks:
+            run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * n * n * 8
 
 
 # the (low, high) pairs the seeded checks draw over
