@@ -34,7 +34,7 @@ import math
 
 import numpy as np
 
-from .floats import COSH_ETA_MAX, EXP_ETA_MAX, as_float, check_eta, nonfinite_error, record
+from .floats import COSH_ETA_MAX, EXP_ETA_MAX, as_float, as_floats, check_eta, nonfinite_error, record
 from .numerics import QuadratureGrid, check_resolution
 
 _SQRT2 = math.sqrt(2.0)
@@ -102,8 +102,8 @@ def boost_point(point: SpacetimePoint, eta: float) -> SpacetimePoint:
 
 def dirac_gaussian(z, t):
     """Rest-frame ground state (1/sqrt pi) exp{-(z^2 + t^2)/2}, vectorized."""
-    za = np.asarray(z, dtype=float)
-    ta = np.asarray(t, dtype=float)
+    za = as_floats(z, "z")
+    ta = as_floats(t, "t")
     # a square that overflows to inf gives exp(-inf) = 0, the right value
     with np.errstate(over="ignore"):
         out = np.pi ** -0.5 * np.exp(-0.5 * (za * za + ta * ta))
@@ -117,8 +117,8 @@ def boosted_wavefunction(z, t, eta: float):
     takes the formula's operations in order, in place beside at most two more meshes.
     """
     eta = check_eta(eta, EXP_ETA_MAX, "psi_eta")
-    za = np.asarray(z, dtype=float)
-    ta = np.asarray(t, dtype=float)
+    za = as_floats(z, "z")
+    ta = as_floats(t, "t")
     # a sum or product that overflows to inf gives exp(-inf) = 0, the right value
     with np.errstate(over="ignore"):
         u = (za + ta) / _SQRT2
@@ -178,11 +178,8 @@ def wave_equation_residual(z: float, t: float, eta: float) -> float:
 
 def _four_vectors(a, b) -> tuple[np.ndarray, np.ndarray]:
     """a and b as float (t, x, y, z) arrays; ValueError unless each has 4 finite components."""
-    try:
-        va = np.asarray(a, dtype=float)
-        vb = np.asarray(b, dtype=float)
-    except OverflowError:  # an int component past the float range
-        raise ValueError("four-vectors must be finite") from None
+    va = as_floats(a, "four-vectors")
+    vb = as_floats(b, "four-vectors")
     if va.shape != (4,) or vb.shape != (4,):
         raise ValueError("four-vectors must have exactly 4 components")
     if not (np.all(np.isfinite(va)) and np.all(np.isfinite(vb))):

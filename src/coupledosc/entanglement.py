@@ -40,8 +40,8 @@ from array import array
 from typing import TYPE_CHECKING
 
 from .floats import (
-    COSH_ETA_MAX, EXP_ETA_MAX, as_float, check_count, check_eta, check_table_size, format_floats,
-    record, write_text,
+    COSH_ETA_MAX, EXP_ETA_MAX, as_float, as_floats, check_count, check_eta, check_table_size,
+    format_floats, record, write_text,
 )
 
 if TYPE_CHECKING:
@@ -77,13 +77,11 @@ class FockExpansion:
 
         from .numerics import hermite_basis
 
-        x1a = np.atleast_1d(np.asarray(x1, dtype=float))
-        x2a = np.atleast_1d(np.asarray(x2, dtype=float))
-        shape = np.broadcast_shapes(x1a.shape, x2a.shape)
-        b1 = hermite_basis(self.k_max, np.broadcast_to(x1a, shape).ravel())
-        b2 = hermite_basis(self.k_max, np.broadcast_to(x2a, shape).ravel())
-        vals = (self.coefficients[:, None] * b1 * b2).sum(axis=0).reshape(shape)
-        return vals if np.ndim(x1) or np.ndim(x2) else float(vals[0])
+        x1a, x2a = np.broadcast_arrays(as_floats(x1, "x1"), as_floats(x2, "x2"))
+        b1 = hermite_basis(self.k_max, x1a.ravel())
+        b2 = hermite_basis(self.k_max, x2a.ravel())
+        vals = (self.coefficients[:, None] * b1 * b2).sum(axis=0).reshape(x1a.shape)
+        return vals if vals.ndim else float(vals)
 
 
 @record

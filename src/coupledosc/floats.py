@@ -4,9 +4,9 @@ Every module that takes an eta, a count or builds a table checks it here; every 
 package writes has the format of format_floats, and every file it writes goes through
 write_text. check_eta is the one eta guard: each closed form passes it the |eta| where the
 form overflows, before checking any other argument. check_count is the one count guard:
-every truncation order, node count and row count passes it. The record decorator makes the
-package's frozen result types without the dataclasses module. Importing this module loads
-no numpy, so the closed-form paths (entanglement's scalar functions and sweep) start without it.
+every truncation order, node count and row count passes it. record makes the frozen result
+types without dataclasses. Importing this module loads no numpy, so the closed-form paths
+(entanglement's scalar functions and sweep) start without it; as_floats imports it when called.
 """
 
 import math
@@ -31,6 +31,18 @@ def as_float(x) -> float:
         return float(x)
     except OverflowError:  # an int past the float range
         return math.inf if x > 0 else -math.inf
+
+
+def as_floats(values, name: str, dtype=float):
+    """np.asarray(values, dtype) for numbers from outside, an array of ints past int64 read as
+    floats; ValueError naming ``name`` for an int past the float range. Imports numpy."""
+    import numpy as np
+
+    try:
+        a = np.asarray(values, dtype)
+        return a.astype(float) if a.dtype == object else a
+    except OverflowError:  # an int past the float range
+        raise ValueError(f"{name} must be finite, got an int past the float range") from None
 
 
 def check_eta(eta, limit: float = math.inf, form: str = "") -> float:
@@ -120,43 +132,19 @@ def _record_repr(self):
 def record(cls):
     """Make ``cls`` a frozen record, as @dataclass(frozen=True) would, without its imports.
 
-    The fields are the class's own annotations, in order, with defaults from class
-    attributes. __init__ takes them by position or keyword and then calls __post_init__,
-    if the class has one. The instance dict holds exactly the fields in order, so vars()
-    lists them and == and hash compare the field tuple. repr has the dataclass text.
+    The fields are the class's own annotations, in order, with defaults from class attributes.
+    __init__ is compiled from them once, as in dataclasses, so Python binds and checks its
+    arguments; then it calls __post_init__, if any. The instance dict holds exactly the fields
+    in order, so vars() lists them and == and hash compare the field tuple. repr is dataclass's.
     """
     names = tuple(cls.__annotations__)
-    defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
-    post_init = getattr(cls, "__post_init__", None)
-    adopt = object.__setattr__
-
-    def bind(args, kwargs):
-        if len(args) > len(names):
-            raise TypeError(f"{cls.__name__}() takes {len(names)} arguments but {len(args)} were given")
-        values = defaults | dict(zip(names, args))
-        for name, value in kwargs.items():
-            if name not in names:
-                raise TypeError(f"{cls.__name__}() got an unexpected keyword argument {name!r}")
-            if names.index(name) < len(args):
-                raise TypeError(f"{cls.__name__}() got multiple values for argument {name!r}")
-            values[name] = value
-        missing = [name for name in names if name not in values]
-        if missing:
-            raise TypeError(f"{cls.__name__}() missing required arguments: {', '.join(map(repr, missing))}")
-        return {name: values[name] for name in names}
-
-    def __init__(self, *args, **kwargs):
-        # the common calls, every field by keyword in order or by position, skip bind
-        if not args and tuple(kwargs) == names:
-            adopt(self, "__dict__", kwargs)
-        elif not kwargs and len(args) == len(names):
-            adopt(self, "__dict__", dict(zip(names, args)))
-        else:
-            adopt(self, "__dict__", bind(args, kwargs))
-        if post_init is not None:
-            post_init(self)
-
-    cls.__init__, cls.__match_args__ = __init__, names
+    params = ", ".join(f"{name}=defaults[{name!r}]" if name in cls.__dict__ else name for name in names)
+    fields = ", ".join(f"{name!r}: {name}" for name in names)
+    post_init = "\n    self.__post_init__()" if hasattr(cls, "__post_init__") else ""
+    namespace = {"defaults": cls.__dict__, "adopt": object.__setattr__}
+    exec(f"def __init__(self, {params}):\n    adopt(self, '__dict__', {{{fields}}}){post_init}", namespace)
+    cls.__init__, cls.__match_args__ = namespace["__init__"], names
+    cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
     cls.__setattr__ = cls.__delattr__ = _frozen
     cls.__eq__, cls.__hash__, cls.__repr__ = _record_eq, _record_hash, _record_repr
     return cls

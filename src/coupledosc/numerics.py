@@ -59,12 +59,6 @@ class GridResolutionError(ValueError):
     """Raised when a grid cannot resolve or contain the requested state."""
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=float)
-    a.flags.writeable = False
-    return a
-
-
 @record
 class QuadratureGrid:
     """Uniform nodes on [-extent, extent] with trapezoid weights.
@@ -107,7 +101,8 @@ def uniform_grid(count: int = DEFAULT_COUNT, extent: float = DEFAULT_EXTENT) -> 
     nodes = np.linspace(-extent, extent, count)
     weights = np.full(count, h)
     weights[0] = weights[-1] = 0.5 * h
-    return QuadratureGrid(_readonly(nodes), _readonly(weights), extent, count)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return QuadratureGrid(nodes, weights, extent, count)
 
 
 @lru_cache(maxsize=1)
@@ -127,7 +122,7 @@ def hermite_fn(k: int, x):
     recurrence and its size cap. Stable and accurate for k up to at least 128.
     """
     k = check_count(k, "k", 0)
-    xa = np.asarray(x, dtype=float)
+    xa = floats.as_floats(x, "x")
     out = hermite_basis(k, xa.ravel())[k].reshape(xa.shape)
     return out if xa.ndim else float(out)
 
@@ -162,7 +157,7 @@ def hermite_basis(k_max: int, x: np.ndarray) -> np.ndarray:
 def integrate_1d(f: Callable, grid: QuadratureGrid | None = None) -> float:
     """Trapezoid integral of a vectorized integrand over the grid."""
     g = grid if grid is not None else default_grid()
-    vals = np.asarray(f(g.nodes), dtype=float)
+    vals = floats.as_floats(f(g.nodes), "the integrand's values")
     if vals.shape != g.nodes.shape:
         raise ValueError("integrand must return one value per node")
     with np.errstate(over="ignore", invalid="ignore"):
@@ -173,7 +168,7 @@ def integrate_2d(f: Callable, grid: QuadratureGrid | None = None) -> float:
     """Tensor-product trapezoid integral of f(x, y) on the grid squared (x a column, y a row)."""
     g = grid if grid is not None else default_grid()
     x = g.nodes
-    vals = np.asarray(f(x[:, None], x[None, :]), dtype=float)
+    vals = floats.as_floats(f(x[:, None], x[None, :]), "the integrand's values")
     try:
         vals = np.ascontiguousarray(np.broadcast_to(vals, (g.count, g.count)))
     except ValueError:
@@ -236,8 +231,8 @@ def squeezed_gaussian(x1, x2, eta: float):
     the formula's operations in order, in place in the buffer of x1 + x2 beside one more mesh.
     """
     eta = check_eta(eta, EXP_ETA_MAX, "psi_eta")
-    x1a = np.asarray(x1, dtype=float)
-    x2a = np.asarray(x2, dtype=float)
+    x1a = floats.as_floats(x1, "x1")
+    x2a = floats.as_floats(x2, "x2")
     em, ep = np.exp(-eta), np.exp(eta)
     # a product that overflows to inf gives exp(-inf) = 0, the right value
     with np.errstate(over="ignore"):
@@ -291,7 +286,9 @@ def oracle_reduced_density(eta: float, grid: QuadratureGrid | None = None) -> De
     eta, g = check_resolution(eta, grid)
     a = squeezed_gaussian(g.nodes[:, None], g.nodes[None, :], eta)
     a *= np.sqrt(g.weights)
-    return DensityKernel(_readonly(a @ a.T), g)
+    rho = a @ a.T
+    rho.flags.writeable = False
+    return DensityKernel(rho, g)
 
 
 # _render lays each value out in a W-byte cell of four little-endian words, held word-major: the

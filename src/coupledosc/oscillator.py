@@ -23,7 +23,7 @@ functions (to_normal, from_normal, ground_state) import numpy when called.
 import math
 import sys
 
-from .floats import as_float, nonfinite_error, record
+from .floats import as_float, as_floats, nonfinite_error, record
 
 
 class UnstablePotentialError(ValueError):
@@ -103,9 +103,10 @@ def to_normal(x1, x2):
     import numpy as np
 
     s = 1.0 / math.sqrt(2.0)
+    x1, x2 = as_floats(x1, "x1", None), as_floats(x2, "x2", None)
     # elementwise, as numpy: a sum past the float range gives inf and inf - inf NaN, unwarned
     with np.errstate(over="ignore", invalid="ignore"):
-        return s * (np.asarray(x1) + np.asarray(x2)), s * (np.asarray(x1) - np.asarray(x2))
+        return s * (x1 + x2), s * (x1 - x2)
 
 
 # the 45-degree rotation is its own inverse, so normal back to particle

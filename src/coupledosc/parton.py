@@ -34,7 +34,9 @@ import warnings
 from typing import TYPE_CHECKING
 
 from .entanglement import width
-from .floats import COSH_ETA_MAX, EXP_ETA_MAX, as_float, check_count, check_eta, check_table_size, record
+from .floats import (
+    COSH_ETA_MAX, EXP_ETA_MAX, as_float, as_floats, check_count, check_eta, check_table_size, record,
+)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -138,7 +140,7 @@ def model_density(eta: float, coords) -> "np.ndarray":
     norm = math.pi * c
     # pi cosh(eta) overflows for 709.33 < |eta| <= 710.47; its root is still a float there
     root = math.sqrt(norm) if norm < math.inf else math.sqrt(math.pi) * math.sqrt(c)
-    xa = np.asarray(coords, dtype=float)
+    xa = as_floats(coords, "coords")
     with np.errstate(over="ignore"):
         arg = -xa * xa / c
         far = np.isinf(arg)
@@ -231,8 +233,7 @@ def _load_rows(path):
     # b > a is np.diff(x) > 0.0 for finite x, without its warning where b - a overflows
     if not np.all(data[1:, 0] > data[:-1, 0]) or not _lines_fit(path, csv.field_size_limit()):
         return None
-    x, v = data.T.copy()
-    return x, v
+    return data.T.copy()
 
 
 def _lines_fit(path, limit: int) -> bool:

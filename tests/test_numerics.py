@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 import re
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from coupledosc import covariant, entanglement, floats, numerics, oscillator, parton
+from coupledosc import covariant, entanglement, floats, numerics, oscillator, parton, verify
 from coupledosc.floats import MAX_TABLE_VALUES, EtaRangeError
 from coupledosc.numerics import (
     DensityKernel,
@@ -406,6 +407,35 @@ class TestEtaRange:
         # an elementwise function gives inf, NaN or 0.0 where numpy does, and no warning escapes
         np.testing.assert_array_equal(call(), expected)
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            pytest.param(lambda: hermite_fn(3, [0.0, 10**400]), "x must be finite", id="hermite_fn"),
+            pytest.param(lambda: oscillator.ground_state([0.0, 10**400], 0.0, 0.5), "x1 must be finite",
+                         id="ground_state"),
+            pytest.param(lambda: oscillator.to_normal(1.0, -10**400), "x2 must be finite", id="to_normal"),
+            pytest.param(lambda: integrate_2d(lambda a, b: 10**400), "the integrand's values must be finite",
+                         id="integrate_2d"),
+            pytest.param(lambda: covariant.hadron_variables((10**400, 0, 0, 0), (1, 0, 0, 0)),
+                         "four-vectors must be finite", id="hadron_variables"),
+        ],
+    )
+    def test_array_int_past_the_float_range_names_the_argument(self, call, message):
+        with pytest.raises(ValueError, match=re.escape(message + ", got an int past the float range")):
+            call()
+
+    def test_array_conversion_keeps_the_input(self):
+        # float and int64 input convert as np.asarray does; to_normal keeps numpy's own dtype
+        for values in (np.array([0.1, -2.5e-300, 1e308]), np.array([3, -2**62], np.int64)):
+            ref = np.asarray(values, dtype=float)
+            assert np.array_equal(floats.as_floats(values, "x").view(np.int64), ref.view(np.int64))
+        x32 = np.array([0.5, 1.5], np.float32)
+        assert oscillator.to_normal(x32, x32)[0].dtype == np.float32
+        assert oscillator.to_normal(np.array([3]), 1)[1].dtype == np.float64
+        # ints past int64 but inside the float range are read as floats, not left as objects
+        y1, y2 = oscillator.to_normal([2**70], [0])
+        assert y1.dtype == np.float64 and y1[0] == y2[0] == 2.0**70 * (1.0 / math.sqrt(2.0))
+
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     @pytest.mark.parametrize(
         "call, limit, message",
@@ -555,6 +585,46 @@ class _OtherPair:
     y: float
 
 
+def _twin(cls):
+    """The class @dataclass(frozen=True) makes from the fields, defaults and __post_init__ of cls."""
+    fields = [
+        (name, kind, dataclasses.field(default=cls.__dict__[name])) if name in cls.__dict__ else (name, kind)
+        for name, kind in cls.__annotations__.items()
+    ]
+    namespace = {"__post_init__": cls.__post_init__} if hasattr(cls, "__post_init__") else {}
+    return dataclasses.make_dataclass(cls.__name__, fields, namespace=namespace, frozen=True)
+
+
+def _outcome(call):
+    """("value", what call() returns), or the type and text of what it raises."""
+    try:
+        return "value", call()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _reading(obj):
+    """What a record shows: its fields in order, repr, hash, equality, and assignment and deletion."""
+    first = obj.__match_args__[0]
+    return (
+        list(vars(obj).items()), repr(obj), hash(obj), obj == type(obj)(**vars(obj)),
+        obj.__eq__(tuple(vars(obj).values())), _outcome(lambda: setattr(obj, first, 0.0))[1],
+        _outcome(lambda: delattr(obj, first))[1], vars(obj)[first],
+    )
+
+
+# every floats.record class in src/
+RECORDS = sorted(
+    {
+        obj
+        for module in (covariant, entanglement, numerics, oscillator, parton, verify)
+        for obj in vars(module).values()
+        if isinstance(obj, type) and obj.__setattr__ is floats._frozen
+    },
+    key=lambda cls: cls.__name__,
+)
+
+
 class TestRecord:
     """floats.record: frozen records with the dataclass construction, equality and repr."""
 
@@ -577,19 +647,48 @@ class TestRecord:
         assert _Pair.__match_args__ == ("x", "y")
 
     @pytest.mark.parametrize(
-        "args, kwargs, message",
-        [
-            ((), {}, r"_Pair\(\) missing required arguments: 'x'"),
-            ((), {"y": 1.0}, r"_Pair\(\) missing required arguments: 'x'"),
-            ((1.0, 2.0, 3.0), {}, r"_Pair\(\) takes 2 arguments but 3 were given"),
-            ((1.0,), {"z": 3.0}, r"_Pair\(\) got an unexpected keyword argument 'z'"),
-            ((1.0,), {"x": 3.0}, r"_Pair\(\) got multiple values for argument 'x'"),
-        ],
+        "args, kwargs",
+        [((), {}), ((), {"y": 1.0}), ((1.0, 2.0, 3.0), {}), ((1.0,), {"z": 3.0}), ((1.0,), {"x": 3.0})],
         ids=["none", "missing", "too-many", "unknown", "repeated"],
     )
-    def test_bad_arguments_raise_type_error(self, args, kwargs, message):
-        with pytest.raises(TypeError, match=message):
-            _Pair(*args, **kwargs)
+    def test_bad_arguments_raise_type_error(self, args, kwargs):
+        # Python binds the arguments, so the type and text are those of @dataclass(frozen=True)
+        got = _outcome(lambda: _Pair(*args, **kwargs))
+        assert got[0] is TypeError
+        assert got == _outcome(lambda: _twin(_Pair)(*args, **kwargs))
+
+    def test_every_record_class_is_found(self):
+        names = {cls.__name__ for cls in RECORDS}
+        assert names >= {
+            "CoupledParams", "NormalModeData", "FockExpansion", "ReducedState", "ThermalMap",
+            "QuadratureGrid", "DensityKernel", "SpacetimePoint", "MomentumPoint",
+            "MarginalDistribution", "OverlaySeries", "CheckResult", "VerifyReport", "_KernelReadings",
+        }
+
+    @pytest.mark.parametrize("cls", RECORDS + [_Pair, _OtherPair], ids=lambda cls: cls.__name__)
+    def test_records_match_their_dataclass_twins(self, cls):
+        twin = _twin(cls)
+        names = cls.__match_args__
+        assert names == twin.__match_args__
+        # descending values, so that every __post_init__ accepts them: m > 0 and A > |C| of
+        # CoupledParams (3, 2, 1), x >= 0 of _Pair (2, 1)
+        values = tuple(float(len(names) - i) for i in range(len(names)))
+        required = tuple(v for name, v in zip(names, values) if name not in cls.__dict__)
+        calls = {
+            "position": (values, {}),
+            "keyword": ((), dict(zip(names, values))),
+            "keyword-reversed": ((), dict(reversed(list(zip(names, values))))),
+            "defaults": (required, {}),
+            "none": ((), {}),
+            "missing-first": ((), dict(zip(names[1:], values[1:]))),
+            "too-many": ((*values, 0.0), {}),
+            "unknown": (values, {"unknown": 0.0}),
+            "repeated": (values, {names[0]: 0.0}),
+            "post-init-rejects": ((-1.0, *values[1:]), {}),
+        }
+        for case, (args, kwargs) in calls.items():
+            got = _outcome(lambda: _reading(cls(*args, **kwargs)))
+            assert got == _outcome(lambda: _reading(twin(*args, **kwargs))), case
 
     def test_frozen(self):
         pair = _Pair(1.0, 2.0)

@@ -93,3 +93,26 @@ def test_one_text_sink():
     # JSON floats are rounded where the JSON is written, not by a helper at each call site
     tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
     assert "_f" not in {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+
+
+def test_no_argument_binder():
+    # a record's __init__ is compiled from its fields, so Python binds the arguments; no
+    # function takes *args and **kwargs to sort them into fields by hand
+    binders = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.args.vararg and node.args.kwarg:
+                binders.add((path.name, node.name))
+    assert binders == set()
+
+
+# a handler of OverflowError, alone or in a tuple
+OVERFLOW_HANDLER = re.compile(r"\bexcept\b[^:]*\bOverflowError\b")
+
+
+def test_overflow_handled_in_three_places():
+    # an int past the float range is caught by as_float for a scalar and by as_floats for an
+    # array; normal_modes catches A**2 past the float range
+    assert sites(OVERFLOW_HANDLER) == {
+        ("floats.py", "as_float"), ("floats.py", "as_floats"), ("oscillator.py", "normal_modes"),
+    }
