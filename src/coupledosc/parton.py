@@ -196,9 +196,6 @@ def ingest_overlay(path) -> OverlaySeries:
             raise OverlayParseError(f"line 1: expected header 'x,value', got {','.join(header)!r}")
         table = _load_rows(path) if os.fstat(fh.fileno()).st_size > LOOP_MAX_BYTES else None
         if table is None:
-            fh.seek(0)
-            reader = csv.reader(fh)
-            next(reader)
             table = _read_rows(reader, path)
     x, v = table
     x.flags.writeable = False

@@ -15,9 +15,10 @@ error *is* the exact tail, i.e. the coefficients are right and the residual
 is pure, irreducible truncation. See README, Known limitations.
 
 Four checks test identities on seeded random points. They draw them from
-_DefaultRng, a pure-Python copy of np.random.default_rng's stream, so verify
-draws numpy's points without importing numpy.random (and with it secrets,
-hashlib and OpenSSL).
+_DefaultRng, a pure-Python copy of np.random.default_rng's stream that starts
+from numpy's recorded PCG64 state for each of its three seeds, so verify draws
+numpy's points without importing numpy.random (and with it secrets, hashlib
+and OpenSSL) and without hashing a seed.
 """
 
 import functools
@@ -41,46 +42,23 @@ from .numerics import (
 
 _SEED = 20260819
 
-# numpy's default stream, np.random.default_rng(seed) for a seed in [0, 2**32):
-# SeedSequence -> PCG64 (XSL-RR) -> 53-bit doubles
-_M32, _M64, _M128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
+# numpy's default stream, np.random.default_rng(seed): PCG64 (XSL-RR) -> 53-bit doubles
+_M64, _M128 = 2**64 - 1, 2**128 - 1
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-def _hashmix(value: int, const: int, mult: int) -> tuple[int, int]:
-    """SeedSequence's 32-bit hash of value under const, and the next const."""
-    value ^= const
-    const = const * mult & _M32
-    value = value * const & _M32
-    return value ^ value >> 16, const
+# the seeded start of each stream verify draws, (state, inc), as numpy records it:
+# np.random.PCG64(seed).state["state"] for seed in _SEED, _SEED + 1, _SEED + 2
+_PCG64_STATES = {
+    _SEED: (0x9A6EF2F1BAD2F94ED63FAC9C0ECD2FA6, 0xEBC3FE7716D8137C3113D45881D2BCF5),
+    _SEED + 1: (0x4A4061FBEFBDAB34AC4B211426883AF6, 0x17E4DEB8DDF67DDC9089A291EAA85865),
+    _SEED + 2: (0x72F50BFC7C03CC0D6BA4599269BCCB7C, 0x48E92CE06D8E84B77D485F1B9E8C4695),
+}
 
 
 class _DefaultRng:
     """The draws of np.random.default_rng(seed) that verify uses: random() and uniform()."""
 
     def __init__(self, seed: int):
-        if not 0 <= seed <= _M32:
-            raise ValueError(f"seed must be in [0, 2**32), got {seed}")
-        # SeedSequence.mix_entropy: hash the seed word into a pool of 4, then mix every pair
-        pool, const = [], 0x43B0D7E5
-        for word in (seed, 0, 0, 0):
-            word, const = _hashmix(word, const, 0x931E8875)
-            pool.append(word)
-        for src in range(4):
-            for dst in range(4):
-                if src != dst:
-                    hashed, const = _hashmix(pool[src], const, 0x931E8875)
-                    mixed = 0xCA01F9DD * pool[dst] - 0x4973F715 * hashed & _M32
-                    pool[dst] = mixed ^ mixed >> 16
-        # generate_state(8) as uint32, then 4 little-endian uint64 words
-        state, const = [], 0x8B51F9DD
-        for i in range(8):
-            word, const = _hashmix(pool[i % 4], const, 0x58F38DED)
-            state.append(word)
-        w = [state[i] | state[i + 1] << 32 for i in range(0, 8, 2)]
-        # PCG64 seeding: odd increment from w[2:], two steps around adding w[:2] to a zero state
-        self._inc = (w[2] << 64 | w[3]) << 1 & _M128 | 1
-        self._state = (self._inc + (w[0] << 64 | w[1])) * _PCG_MULT + self._inc & _M128
+        self._state, self._inc = _PCG64_STATES[seed]
 
     def _next64(self) -> int:
         """One LCG step, then the XSL-RR output of the new state."""

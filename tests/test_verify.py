@@ -1,7 +1,8 @@
 """The verify registry, and the checks that share inputs give the bits of the loops they replaced.
 
-The seeded checks draw from a pure-Python copy of np.random.default_rng; the copy
-is tested against numpy here.
+The seeded checks draw from a pure-Python copy of np.random.default_rng, started
+from numpy's recorded PCG64 states; the states and the copy are tested against
+numpy here.
 """
 
 import math
@@ -169,7 +170,7 @@ def test_kernel_checks_hold_one_table_at_a_time():
 
 # the (low, high) pairs the seeded checks draw over
 DRAWS = [(0.5, 5.0), (-0.9, 0.9), (0.2, 3.0), (-3, 3), (-5, 5), (-2, 2)]
-SEEDS = [0, 1, 2**32 - 1, verify._SEED, verify._SEED + 1, verify._SEED + 2]
+SEEDS = [verify._SEED, verify._SEED + 1, verify._SEED + 2]
 # numpy's C uniform computes low + range * d; x86-64 rounds it twice, as the copy
 # does, where an arm64 compiler may fuse it into one FMA
 ROUNDS_TWICE = platform.machine().lower() in ("x86_64", "amd64")
@@ -184,6 +185,16 @@ def draw_both(seed, n=2400):
         ours += [copy.uniform(low, high), *copy.uniform(low, high, 2)]
         theirs += [rng.uniform(low, high), *rng.uniform(low, high, 2)]
     return ours, theirs
+
+
+def test_recorded_states_are_the_verify_seeds():
+    assert list(verify._PCG64_STATES) == SEEDS
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_recorded_states_are_numpy_s_seeded_pcg64(seed):
+    state = np.random.PCG64(seed).state["state"]
+    assert verify._PCG64_STATES[seed] == (state["state"], state["inc"])
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -201,9 +212,9 @@ def test_default_rng_copy_draws_numpy_s_uniforms(seed):
         assert all(abs(a - b) <= math.ulp(b) for a, b in zip(ours, theirs, strict=True))
 
 
-@pytest.mark.parametrize("seed", [-1, 2**32, 2**64])
-def test_default_rng_copy_takes_one_word_seeds_only(seed):
-    with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*32\)"):
+@pytest.mark.parametrize("seed", [-1, 0, verify._SEED - 1, verify._SEED + 3, 2**32, 2**64])
+def test_default_rng_copy_takes_the_recorded_seeds_only(seed):
+    with pytest.raises(KeyError):
         verify._DefaultRng(seed)
 
 
