@@ -70,9 +70,8 @@ def cmd_modes(args) -> int:
 def cmd_entangle(args) -> int:
     from . import entanglement
 
-    # every check that can reject the input runs before numpy loads; once their guards
-    # pass, the two arrays cannot raise, so the scalars may run ahead of them
-    entanglement._check_schmidt(args.eta, args.kmax)
+    # every check that can reject the input runs before numpy loads; schmidt_coefficients takes
+    # every input _check_spectrum passes, so the arrays cannot raise and the scalars may run first
     entanglement._check_spectrum(args.eta, args.kmax)
     x, temperature = entanglement._thermal_map(args.eta, entanglement.check_omega(args.omega))
     purity, entropy = entanglement.purity(args.eta), entanglement.entropy(args.eta)
@@ -157,20 +156,21 @@ def cmd_sweep(args) -> int:
 def cmd_verify(args) -> int:
     from . import verify
 
-    report = verify.run_all()
-    for r in report.checks:
+    checks = verify.run_all()
+    for r in checks:
         status = "PASS" if r.passed else "FAIL"
         line = f"{status} {r.name}: deviation {r.deviation:.3e} vs tolerance {r.tolerance:.3e}"
         if r.detail and not r.passed:
             line += f" ({r.detail})"
         print(line)
-    n_pass = sum(1 for r in report.checks if r.passed)
-    print(f"overall: {'PASS' if report.overall_pass else 'FAIL'} ({n_pass}/{len(report.checks)} checks)")
+    n_pass = sum(1 for r in checks if r.passed)
+    overall_pass = n_pass == len(checks)
+    print(f"overall: {'PASS' if overall_pass else 'FAIL'} ({n_pass}/{len(checks)} checks)")
     if args.out:
         # CheckResult's field order is the JSON key order
-        checks = [vars(r) for r in report.checks]
-        _emit_json({"checks": checks, "overall_pass": report.overall_pass}, args.out)
-    return 0 if report.overall_pass else 1
+        rows = [vars(r) for r in checks]
+        _emit_json({"checks": rows, "overall_pass": overall_pass}, args.out)
+    return 0 if overall_pass else 1
 
 
 def _rescale_arg(text: str) -> tuple[float, float]:

@@ -30,8 +30,8 @@ The scalar closed forms (purity, entropy, the thermal map, the width) need
 only math, and so does write_sweep, which tabulates them over an eta range for
 the CLI's sweep; the array functions (schmidt_coefficients, reduced_state,
 purity_series, FockExpansion.reconstruct) import numpy when called, and
-schmidt_coefficients and reduced_state only after their guards
-(_check_schmidt, _check_spectrum) pass, so a rejected input never loads it.
+schmidt_coefficients and reduced_state only after their eta and k_max guards
+(reduced_state's is _check_spectrum) pass, so a rejected input never loads it.
 """
 
 import math
@@ -117,13 +117,6 @@ def _ln_coth_half(a: float) -> float:
     return math.log(2.0) - math.log(a) - (math.log(math.tanh(h) / h) if h > 1e-8 else 0.0)
 
 
-def _check_schmidt(eta: float, k_max: int) -> tuple[float, int]:
-    """schmidt_coefficients' guard: (eta, k_max) as a float and an int; ValueError for a
-    non-finite eta or a bad k_max, EtaRangeError where cosh(eta/2) overflows."""
-    eta = check_eta(eta, 2.0 * COSH_ETA_MAX, "the Schmidt coefficients")
-    return eta, check_count(k_max, "k_max", 0, K_MAX_CAP)
-
-
 def _check_spectrum(eta: float, k_max: int) -> tuple[float, int]:
     """reduced_state's guard: (eta, k_max) as a float and an int; ValueError for a
     non-finite eta or a bad k_max, EtaRangeError where cosh^2(eta/2) overflows."""
@@ -134,7 +127,8 @@ def _check_spectrum(eta: float, k_max: int) -> tuple[float, int]:
 
 def schmidt_coefficients(eta: float, k_max: int = 64) -> FockExpansion:
     """Schmidt coefficients c_k = tanh^k(eta/2)/cosh(eta/2) up to k_max."""
-    eta, k_max = _check_schmidt(eta, k_max)
+    eta = check_eta(eta, 2.0 * COSH_ETA_MAX, "the Schmidt coefficients")
+    k_max = check_count(k_max, "k_max", 0, K_MAX_CAP)
     import numpy as np
 
     t = math.tanh(eta / 2.0)

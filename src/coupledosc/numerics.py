@@ -18,8 +18,8 @@ The reduced-density oracle tabulates a two-argument wavefunction on the grid
 and contracts one argument with the quadrature weights; all spectral claims
 (Schmidt coefficients, purity, entropy) are validated against it. Every
 array table the package writes goes through write_csv, which hands its text to
-floats.write_text; its renderer and entanglement.write_sweep format floats with
-floats.format_floats.
+floats.write_text; it casts each column to float64, and its renderer and
+entanglement.write_sweep write every number as floats.format_floats does.
 The eta, count and table-size guards live in floats, which needs no numpy.
 
 The squeezed Gaussian has two routes. squeezed_gaussian, in x1 +- x2, serves
@@ -362,27 +362,19 @@ def _cells(text: list) -> np.ndarray:
     return np.array(text, dtype=f"S{W}").view(_WORD).reshape(-1, 4).T
 
 
-def _text(values: np.ndarray) -> list[str]:
-    """The 1-D ``values`` as Python text: %d for integer dtypes, format_floats otherwise."""
-    if values.dtype.kind in "iu":
-        return ["%d" % v for v in values.tolist()]
-    return format_floats(values.tolist())
+def _render(x: np.ndarray) -> np.ndarray:
+    """The 1-D float64 ``x`` as NUL-padded cells, last byte free, word-major: (4, n) words.
 
-
-def _render(values: np.ndarray) -> np.ndarray:
-    """The 1-D ``values`` as NUL-padded cells, last byte free, word-major: (4, n) words.
-
-    Floats are written exactly as format_floats writes them: m = |x| 10**(14 - e),
+    Each value is written exactly as format_floats writes it: m = |x| 10**(14 - e),
     e = floor(log10 |x|), is formed in long double and rounded to the 15-digit
-    integer r, whose digits are laid out in %g's fixed or exponent form. _text
-    formats what this cannot get right for certain: zeros, subnormals, non-finite
-    values, values whose e comes out off by one, and values within _ROUND_MARGIN
-    of a rounding tie. It also formats integers, as %d, and blocks of fewer than
+    integer r, whose digits are laid out in %g's fixed or exponent form.
+    format_floats formats what this cannot get right for certain: zeros, subnormals,
+    non-finite values, values whose e comes out off by one, and values within
+    _ROUND_MARGIN of a rounding tie. It also formats blocks of fewer than
     _VECTOR_MIN values, where it is faster.
     """
-    if values.dtype.kind in "iu" or values.size < _VECTOR_MIN or _ROUND_MARGIN >= 0.5:
-        return _cells(_text(values))
-    x = np.asarray(values, dtype=float)
+    if x.size < _VECTOR_MIN or _ROUND_MARGIN >= 0.5:
+        return _cells(format_floats(x.tolist()))
     t = _tables()
     a = np.abs(x)
     exact = (a >= _TINY) & (a <= _HUGE)
@@ -412,7 +404,7 @@ def _render(values: np.ndarray) -> np.ndarray:
     cells[3] = t.exp[k]
     inexact = np.flatnonzero(~exact)
     if inexact.size:
-        cells[:, inexact] = _cells(_text(x[inexact]))
+        cells[:, inexact] = _cells(format_floats(x[inexact].tolist()))
     return cells
 
 
@@ -421,14 +413,15 @@ def write_csv(dest, header, columns) -> None:
 
     ``dest`` is a path or an open text file, which floats.write_text writes. ValueError,
     before a path is opened, unless ``header`` names each column, every column is of bool,
-    integer or float dtype, and the columns broadcast to at least one dimension. Rows go in
-    blocks of whole lead-axis rows, about
-    CSV_BLOCK_ROWS values each: one (words, rows) table, filled in place, in which each
-    column owns whole rows. A full column's four _render rows are copied as they are, a
-    "," or LF is OR-ed into the last byte of each column's last word, and the transposed
-    table, its NUL padding dropped by bytes.translate, is one string. A column smaller
-    than the table, such as a mesh axis, is formatted by _text up front, kept in its fewest
-    words, and gathered per block; a column passed twice (the same object) is filled once a block.
+    integer or float dtype, and the columns broadcast to at least one dimension. Each column is
+    then cast to float64, so every value, integers too, is format_floats' text. Rows go in
+    blocks of whole lead-axis rows, about CSV_BLOCK_ROWS values each: one (words, rows) table,
+    filled in place, in which each column owns whole rows. A full column's four _render rows
+    are copied as they are, a "," or LF is OR-ed into the last byte of each column's last
+    word, and the transposed table, its NUL padding dropped by bytes.translate, is one string.
+    A column smaller than the table, such as a mesh axis, is formatted by format_floats up
+    front, kept in its fewest words, and gathered per block; a column passed twice (the same
+    object) is filled once a block.
     """
     arrays = [np.asarray(c) for c in columns]
     if len(header) != len(arrays):
@@ -436,6 +429,7 @@ def write_csv(dest, header, columns) -> None:
     for name, a in zip(header, arrays):
         if a.dtype.kind not in "biuf":
             raise ValueError(f"CSV column {name!r} must hold real numbers, got dtype {a.dtype}")
+    arrays = [a.astype(float, copy=False) for a in arrays]
     shape = np.broadcast_shapes(*(a.shape for a in arrays))
     if not shape:
         raise ValueError("a CSV table needs columns that broadcast to at least one dimension")
@@ -444,7 +438,7 @@ def write_csv(dest, header, columns) -> None:
     def source(a):
         # (cells rendered up front, their indices) or (None, the values)
         if a.size < size:
-            text = _text(a.ravel())
+            text = format_floats(a.ravel().tolist())
             cells = _cells(text)[: max(map(len, text)) // 8 + 1]
             return cells, np.broadcast_to(np.arange(a.size).reshape(a.shape), shape)
         return None, np.broadcast_to(a, shape)

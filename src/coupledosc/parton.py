@@ -158,7 +158,6 @@ def export_gaussian_pdf(eta: float, n: int, path) -> "np.ndarray":
     """
     n = check_count(n, "n", 2)
     check_table_size(n, f"a marginal of n = {n} points", "use fewer points")
-    eta = check_eta(eta)
     half = 6.0 * width(eta)
     import numpy as np
 
@@ -173,8 +172,8 @@ def export_gaussian_pdf(eta: float, n: int, path) -> "np.ndarray":
 def ingest_overlay(path) -> OverlaySeries:
     """Read an overlay CSV with header x,value; strict about shape and order.
 
-    Malformed rows raise OverlayParseError naming the offending line (the
-    header is line 1). Structural problems (fewer than two rows, abscissas
+    Malformed rows raise OverlayParseError naming the file line the row ends
+    on (the header is line 1). Structural problems (fewer than two rows, abscissas
     not strictly increasing) raise OverlayValidationError.
 
     The grammar is _read_rows: the csv module's default dialect, one float()
@@ -258,17 +257,17 @@ def _read_rows(reader, path):
     xs: list[float] = []
     vals: list[float] = []
     try:
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
             if not row:
                 continue
             if len(row) != 2:
-                raise OverlayParseError(f"line {lineno}: expected 2 fields, got {len(row)}")
+                raise OverlayParseError(f"line {reader.line_num}: expected 2 fields, got {len(row)}")
             try:
                 xi, vi = float(row[0]), float(row[1])
             except ValueError:
-                raise OverlayParseError(f"line {lineno}: could not parse {row!r}") from None
+                raise OverlayParseError(f"line {reader.line_num}: could not parse {row!r}") from None
             if not (math.isfinite(xi) and math.isfinite(vi)):
-                raise OverlayParseError(f"line {lineno}: non-finite value in {row!r}")
+                raise OverlayParseError(f"line {reader.line_num}: non-finite value in {row!r}")
             xs.append(xi)
             vals.append(vi)
     except csv.Error as exc:

@@ -86,12 +86,6 @@ class CheckResult:
     detail: str = ""
 
 
-@record
-class VerifyReport:
-    checks: tuple
-    overall_pass: bool
-
-
 # run_all reads this list at call time, so an entry replaced in place is what runs
 CHECKS: list = []
 
@@ -564,6 +558,5 @@ def check_cli_determinism():
     return 0.0 if same else 1.0
 
 
-def run_all() -> VerifyReport:
-    results = tuple(entry() for entry in CHECKS)
-    return VerifyReport(checks=results, overall_pass=all(r.passed for r in results))
+def run_all() -> tuple:
+    return tuple(entry() for entry in CHECKS)

@@ -147,8 +147,9 @@ class TestEntangle:
         "argv, error",
         [
             (["--eta=1500", "--kmax=200000"],
-             "|eta| = 1500 overflows the Schmidt coefficients; the usable range is |eta| <= 1420.95"),
-            (["--eta=800", "--kmax=200000"], "k_max must be at most 100000, got 200000"),
+             "|eta| = 1500 overflows the eigenvalues p_k; the usable range is |eta| <= 711.16"),
+            (["--eta=800", "--kmax=200000"],
+             "|eta| = 800 overflows the eigenvalues p_k; the usable range is |eta| <= 711.16"),
             (["--eta=nan", "--kmax=-1"], "eta must be finite"),
             (["--eta=800", "--omega=-1"],
              "|eta| = 800 overflows the eigenvalues p_k; the usable range is |eta| <= 711.16"),
@@ -481,13 +482,13 @@ class TestHugeEta:
         "argv, limit",
         [
             (["entangle", "--eta=800"], "711.16"),
-            (["entangle", "--eta=-1500"], "1420.95"),
+            (["entangle", "--eta=-1500"], "711.16"),
             (["sweep", "--start=0", "--stop=720", "--steps=2"], "710.47"),
             (["parton", "--eta=800"], "710.47"),
             (["parton", "--eta=-720", "--overlay"], "710.47"),
             (["boost", "--eta=800", "--grid=3"], "709.78"),
             # the eta fault is named before the k_max fault
-            (["entangle", "--eta=1500", "--kmax=200000"], "1420.95"),
+            (["entangle", "--eta=1500", "--kmax=200000"], "711.16"),
         ],
     )
     def test_exits_1_with_range(self, argv, limit, tmp_path, capsys):

@@ -692,7 +692,7 @@ class TestRecord:
         assert names >= {
             "CoupledParams", "NormalModeData", "FockExpansion", "ReducedState", "ThermalMap",
             "QuadratureGrid", "DensityKernel", "SpacetimePoint", "MomentumPoint",
-            "MarginalDistribution", "OverlaySeries", "CheckResult", "VerifyReport", "_KernelReadings",
+            "MarginalDistribution", "OverlaySeries", "CheckResult", "_KernelReadings",
         }
 
     @pytest.mark.parametrize("cls", RECORDS + [_Pair, _OtherPair], ids=lambda cls: cls.__name__)

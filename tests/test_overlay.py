@@ -140,6 +140,17 @@ def test_huge_field_names_its_line(name, tmp_path):
         parton.ingest_overlay(path)
 
 
+@pytest.mark.parametrize("limit", [0, parton.LOOP_MAX_BYTES], ids=["loadtxt-first", "loop-only"])
+@pytest.mark.parametrize("text", ['"x\n",value\n0,1\n1,2\n2,abc\n', 'x,value\n0,"1\n"\n1,2\n2,abc\n'],
+                         ids=["two-line-header", "two-line-row"])
+def test_a_row_after_a_field_over_two_lines_names_its_file_line(text, limit, tmp_path):
+    # the row 2,abc sits on line 5 of the file, though it is the csv module's fourth record
+    path = write(tmp_path / "ov.csv", text)
+    with mock.patch.object(parton, "LOOP_MAX_BYTES", limit):
+        with pytest.raises(parton.OverlayParseError, match=r"^line 5: could not parse \['2', 'abc'\]$"):
+            parton.ingest_overlay(path)
+
+
 def test_huge_field_exits_1_on_the_cli(tmp_path, capsys):
     path = write(tmp_path / "ov.csv", CASES["huge_whitespace"])
     out = tmp_path / "out.csv"

@@ -17,7 +17,7 @@ from coupledosc.numerics import default_grid, hermite_fn, integrate_2d, oracle_r
 
 
 @pytest.fixture(scope="module")
-def report():
+def results():
     return verify.run_all()
 
 
@@ -28,24 +28,24 @@ def registry():
     verify.CHECKS[:] = saved
 
 
-def test_registry_holds_42_uniquely_named_checks(report):
+def test_registry_holds_42_uniquely_named_checks(results):
     assert len(verify.CHECKS) == 42
-    assert len({r.name for r in report.checks}) == 42
+    assert len({r.name for r in results}) == 42
 
 
-def test_each_entry_is_the_module_function_named_after_its_result(report):
-    for entry, result in zip(verify.CHECKS, report.checks, strict=True):
+def test_each_entry_is_the_module_function_named_after_its_result(results):
+    for entry, result in zip(verify.CHECKS, results, strict=True):
         assert entry.__name__ == "check_" + result.name
         assert getattr(verify, entry.__name__) is entry
 
 
-def test_run_all_runs_entries_replaced_in_place(registry, report):
+def test_run_all_runs_entries_replaced_in_place(registry, results):
     # the benchmark tracer wraps each entry in place; run_all must run the wrappers
     ran = []
-    for i, result in enumerate(report.checks):
+    for i, result in enumerate(results):
         registry[i] = lambda result=result: ran.append(result.name) or result
-    assert verify.run_all() == report
-    assert ran == [r.name for r in report.checks]
+    assert verify.run_all() == results
+    assert ran == [r.name for r in results]
 
 
 def test_lightcone_concentration_detail_carries_the_fraction():
