@@ -243,6 +243,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "sweep" and args.start > args.stop:
         parser.error("--start must not exceed --stop")
+    if args.command == "parton" and args.rescale and not args.overlay:
+        parser.error("--rescale needs --overlay")
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

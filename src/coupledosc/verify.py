@@ -270,27 +270,24 @@ def check_schmidt_normalization():
 
 @check(1e-6, "c_k against direct double quadrature")
 def check_schmidt_vs_quadrature():
-    dev = 0.0
-    for e in (0.5, 1.0):
-        coeffs = entanglement.schmidt_coefficients(e, k_max=10).coefficients
-        psi = _ground_state_mesh(e)
-        for k in range(11):
-            proj = integrate_2d(lambda a, b, k=k: hermite_fn(k, a) * hermite_fn(k, b) * psi)
-            dev = max(dev, abs(proj - coeffs[k]))
-    return dev
+    g = default_grid()
+    b = hermite_basis(10, g.nodes) * g.weights
+    return max(
+        _max_abs(np.diag(b @ _ground_state_mesh(e) @ b.T),
+                 entanglement.schmidt_coefficients(e, k_max=10).coefficients)
+        for e in (0.5, 1.0)
+    )
 
 
 @check(1e-8, "expansion is diagonal in the Fock index")
 def check_schmidt_offdiagonal():
-    dev = 0.0
-    psi = _ground_state_mesh(1.0)
-    for j in range(4):
-        for k in range(4):
-            if j == k:
-                continue
-            proj = integrate_2d(lambda a, b, j=j, k=k: hermite_fn(j, a) * hermite_fn(k, b) * psi)
-            dev = max(dev, abs(proj))
-    return dev
+    g = default_grid()
+    rows, w, psi = hermite_basis(3, g.nodes), g.weights, _ground_state_mesh(1.0)
+    # w @ vals @ w in integrate_2d's order, so each projection keeps integrate_2d's bits
+    return max(
+        abs(w @ (rows[j][:, None] * rows[k] * psi) @ w)
+        for j in range(4) for k in range(4) if j != k
+    )
 
 
 @check(1e-6, "p_k against the grid kernel")

@@ -314,6 +314,17 @@ class TestParton:
         assert capsys.readouterr().err.endswith(f"coupledosc parton: error: argument --rescale: {message}\n")
         assert not out.exists()
 
+    def test_rescale_without_overlay_is_usage_error(self, tmp_path, capsys):
+        # --rescale moves overlay x alone; without --overlay it would be dropped unread
+        out = tmp_path / "p.csv"
+        with pytest.raises(SystemExit) as exc:
+            run(["parton", "--eta=1", "--rescale=0,2", "--n=5", f"--out={out}"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith("coupledosc: error: --rescale needs --overlay\n")
+        assert not out.exists()
+
 
 class TestSweep:
     def test_single_row(self, tmp_path):

@@ -6,7 +6,10 @@ numpy here.
 """
 
 import math
+import os
 import platform
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -89,6 +92,27 @@ def test_schmidt_offdiagonal_evaluates_the_ground_state_once(monkeypatch):
         for j in range(4) for k in range(4) if j != k
     )
     assert result.deviation == dev
+
+
+@pytest.mark.parametrize("name", ["schmidt_vs_quadrature", "schmidt_offdiagonal"])
+def test_schmidt_checks_project_through_one_hermite_table(monkeypatch, name):
+    names = ("hermite_basis", "hermite_fn", "integrate_2d")
+    calls = {fn: count_calls(monkeypatch, verify, fn) for fn in names}
+    getattr(verify, "check_" + name)()
+    assert {fn: len(c) for fn, c in calls.items()} == {"hermite_basis": 1, "hermite_fn": 0, "integrate_2d": 0}
+
+
+def test_schmidt_vs_quadrature_deviation_ignores_the_blas_thread_count():
+    # b @ psi @ b.T is a matrix product whose deviation reaches verify --out; the two runs are
+    # compared with each other, not with a constant, so the test holds on any BLAS
+    code = "from coupledosc import verify; print(repr(verify.check_schmidt_vs_quadrature().deviation))"
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path),
+                   OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
 
 
 def test_parton_checks_share_the_marginals(monkeypatch):
