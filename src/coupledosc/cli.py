@@ -99,9 +99,11 @@ def cmd_entangle(args) -> int:
 
         write_csv(args.csv, ("k", "p_k"), (np.arange(rs.eigenvalues.size), rs.eigenvalues))
     if args.kernel_csv:
-        from .numerics import oracle_reduced_density, uniform_grid
+        from .numerics import DEFAULT_COUNT, DEFAULT_EXTENT, oracle_reduced_density, uniform_grid
 
-        kern = oracle_reduced_density(args.eta, uniform_grid(args.grid, args.extent))
+        count = DEFAULT_COUNT if args.grid is None else args.grid
+        extent = DEFAULT_EXTENT if args.extent is None else args.extent
+        kern = oracle_reduced_density(args.eta, uniform_grid(count, extent))
         kern.to_csv(args.kernel_csv)
     return 0
 
@@ -142,7 +144,7 @@ def cmd_parton(args) -> int:
         header = ("coordinate", "model_density", "overlay_value")
         write_csv(args.out, header, (coords, dens, series.values))
     else:
-        parton.export_gaussian_pdf(args.eta, args.n, args.out)
+        parton.export_gaussian_pdf(args.eta, 101 if args.n is None else args.n, args.out)
     return 0
 
 
@@ -204,8 +206,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write JSON here instead of stdout")
     p.add_argument("--csv", help="also write (k, p_k) rows here")
     p.add_argument("--kernel-csv", dest="kernel_csv", help="dump the quadrature density kernel")
-    p.add_argument("--grid", type=int, default=401, help="kernel grid nodes")
-    p.add_argument("--extent", type=float, default=8.0, help="kernel grid half-width")
+    p.add_argument("--grid", type=int, help="kernel grid nodes")
+    p.add_argument("--extent", type=float, help="kernel grid half-width")
     p.set_defaults(func=cmd_entangle)
 
     p = sub.add_parser("boost", help="tabulate psi_eta and phi_eta on a mesh")
@@ -217,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("parton", help="longitudinal marginal, optionally against an overlay")
     p.add_argument("--eta", type=float, required=True)
-    p.add_argument("--n", type=int, default=101, help="points when exporting without overlay")
+    p.add_argument("--n", type=int, help="points when exporting without overlay")
     p.add_argument("--overlay", help="reference CSV with header x,value")
     p.add_argument("--rescale", type=_rescale_arg, help="shift,scale applied to overlay x")
     p.add_argument("--out", required=True)
@@ -245,6 +247,10 @@ def main(argv=None) -> int:
         parser.error("--start must not exceed --stop")
     if args.command == "parton" and args.rescale and not args.overlay:
         parser.error("--rescale needs --overlay")
+    if args.command == "parton" and args.n is not None and args.overlay:
+        parser.error("--n sizes the export without --overlay")
+    if args.command == "entangle" and (args.grid, args.extent) != (None, None) and not args.kernel_csv:
+        parser.error("--grid and --extent shape the --kernel-csv grid")
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

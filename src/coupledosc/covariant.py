@@ -26,7 +26,7 @@ equation 1/2 {(z^2 - t^2) - (d^2/dz^2 - d^2/dt^2)} psi = 0 (eigenvalue zero:
 the two zero-point halves cancel).
 
 boosted_wavefunction is the light-cone route to the squeezed Gaussian;
-numerics.squeezed_gaussian is the (x1 +- x2) route. verify's
+oscillator.ground_state is the (x1 +- x2) route. verify's
 cross_module_identity compares them, so they are kept apart.
 """
 

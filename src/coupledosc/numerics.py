@@ -22,8 +22,8 @@ floats.write_text; it casts each column to float64, and its renderer and
 entanglement.write_sweep write every number as floats.format_floats does.
 The eta, count and table-size guards live in floats, which needs no numpy.
 
-The squeezed Gaussian has two routes. squeezed_gaussian, in x1 +- x2, serves
-oscillator.ground_state and the oracle; covariant.boosted_wavefunction writes
+The squeezed Gaussian has two routes. oscillator.ground_state writes it in
+x1 +- x2, and the oracle tabulates it; covariant.boosted_wavefunction writes
 it in light-cone variables. verify's cross_module_identity compares the two,
 so they are kept apart.
 """
@@ -224,33 +224,6 @@ class DensityKernel:
         write_csv(path, ("x", "x_prime", "value"), (x[:, None], x[None, :], self.values))
 
 
-def squeezed_gaussian(x1, x2, eta: float):
-    """psi_eta(x1, x2) = (1/sqrt pi) exp{-1/4 [e^{-eta}(x1+x2)^2 + e^{eta}(x1-x2)^2]}, vectorized.
-
-    Returns a fresh array (a float for 0-d input) and writes into no argument: each node takes
-    the formula's operations in order, in place in the buffer of x1 + x2 beside one more mesh.
-    """
-    eta = check_eta(eta, EXP_ETA_MAX, "psi_eta")
-    x1a = floats.as_floats(x1, "x1")
-    x2a = floats.as_floats(x2, "x2")
-    em, ep = np.exp(-eta), np.exp(eta)
-    # a product that overflows to inf gives exp(-inf) = 0, the right value
-    with np.errstate(over="ignore"):
-        # s *= s squares as np.square does, correctly rounded; a 0-d numpy scalar's ** 2 is pow
-        s = x1a + x2a
-        s *= s
-        s *= em
-        d = x1a - x2a
-        d *= d
-        d *= ep
-        s += d
-        del d  # before exp's argument, so at most two meshes are alive
-        s *= -0.25
-        out = np.exp(s, out=np.asarray(s))
-        out *= np.pi ** -0.5
-    return out if out.ndim else float(out)
-
-
 def check_resolution(eta: float, grid: QuadratureGrid | None = None) -> tuple[float, QuadratureGrid]:
     """(eta as a float, the grid, default_grid() when ``grid`` is None); GridResolutionError
     unless the widest principal-axis standard deviation of |psi_eta|^2, sqrt(e^{|eta|}/2),
@@ -284,7 +257,9 @@ def oracle_reduced_density(eta: float, grid: QuadratureGrid | None = None) -> De
             f"|eta| = {abs(eta):g} beyond supported range {MAX_ORACLE_ETA:g}"
         )
     eta, g = check_resolution(eta, grid)
-    a = squeezed_gaussian(g.nodes[:, None], g.nodes[None, :], eta)
+    from .oscillator import ground_state
+
+    a = ground_state(g.nodes[:, None], g.nodes[None, :], eta)
     a *= np.sqrt(g.weights)
     rho = a @ a.T
     rho.flags.writeable = False

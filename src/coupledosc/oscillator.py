@@ -14,7 +14,8 @@ omega = sqrt(K/m). In units where m = omega = hbar = 1 the ground state is
 
     psi_eta(x1, x2) = (1/sqrt pi) exp{ -1/4 [ e^{-eta}(x1+x2)^2 + e^{eta}(x1-x2)^2 ] },
 
-a two-mode squeezed Gaussian; eta = 0 is the separable product state.
+a two-mode squeezed Gaussian; eta = 0 is the separable product state. ground_state is its
+(x1 +- x2) route and covariant.boosted_wavefunction its light-cone route; verify compares them.
 
 The parameters, normal modes and energies need only math; the array
 functions (to_normal, from_normal, ground_state) import numpy when called.
@@ -23,7 +24,7 @@ functions (to_normal, from_normal, ground_state) import numpy when called.
 import math
 import sys
 
-from .floats import as_float, as_floats, nonfinite_error, record
+from .floats import EXP_ETA_MAX, as_float, as_floats, check_eta, nonfinite_error, record
 
 
 class UnstablePotentialError(ValueError):
@@ -115,14 +116,31 @@ from_normal = to_normal
 
 
 def ground_state(x1, x2, eta: float):
-    """Entangled ground-state wavefunction psi_eta(x1, x2), vectorized.
+    """Entangled ground-state wavefunction psi_eta(x1, x2), vectorized: a fresh array (0-d: a float).
 
     Positive everywhere, peak value 1/sqrt(pi) at the origin, and normalized:
     the squeeze only redistributes the Gaussian between the two normal axes.
     """
-    from .numerics import squeezed_gaussian
+    eta = check_eta(eta, EXP_ETA_MAX, "psi_eta")
+    import numpy as np
 
-    return squeezed_gaussian(x1, x2, eta)
+    x1a, x2a = as_floats(x1, "x1"), as_floats(x2, "x2")
+    em, ep = np.exp(-eta), np.exp(eta)
+    # a product that overflows to inf gives exp(-inf) = 0, the right value
+    with np.errstate(over="ignore"):
+        # s *= s squares as np.square does, correctly rounded; a 0-d numpy scalar's ** 2 is pow
+        s = x1a + x2a
+        s *= s
+        s *= em
+        d = x1a - x2a
+        d *= d
+        d *= ep
+        s += d
+        del d  # before exp's argument, so at most two meshes are alive
+        s *= -0.25
+        out = np.exp(s, out=np.asarray(s))
+        out *= np.pi ** -0.5
+    return out if out.ndim else float(out)
 
 
 def hamiltonian_energy(x, p, params: CoupledParams) -> float:

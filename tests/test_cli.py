@@ -101,6 +101,19 @@ class TestEntangle:
         assert lines[0] == "x,x_prime,value"
         assert len(lines) == 1 + 81
 
+    @pytest.mark.parametrize("flags", [["--grid=7"], ["--extent=3"], ["--grid=7", "--extent=3"]],
+                             ids=["grid", "extent", "both"])
+    def test_grid_without_kernel_csv_is_usage_error(self, flags, tmp_path, capsys):
+        # --grid and --extent shape the kernel CSV alone; without it they would be dropped unread
+        out = tmp_path / "e.json"
+        with pytest.raises(SystemExit) as exc:
+            run(["entangle", "--eta=1", "--kmax=2", f"--out={out}", *flags])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith("coupledosc: error: --grid and --extent shape the --kernel-csv grid\n")
+        assert not out.exists()
+
     def test_kmax_past_cap_exits_1(self, tmp_path, capsys):
         out = tmp_path / "p.csv"
         assert run(["entangle", "--eta=1", "--kmax=100000000", f"--csv={out}"]) == 1
@@ -198,12 +211,15 @@ class TestBoost:
         assert not out.exists()
 
 
-@pytest.mark.parametrize("argv", [["entangle", "--eta=1"], ["boost", "--eta=1", "--out=b.csv"]],
-                         ids=["entangle", "boost"])
-def test_grid_defaults_are_the_default_grid(argv):
-    # build_parser writes them as literals, so that the CLI starts without numpy
-    args = cli.build_parser().parse_args(argv)
-    assert (args.grid, args.extent) == (numerics.DEFAULT_COUNT, numerics.DEFAULT_EXTENT)
+@pytest.mark.parametrize("argv", [["entangle", "--eta=1", "--kernel-csv={out}"],
+                                  ["boost", "--eta=1", "--out={out}"]], ids=["entangle", "boost"])
+def test_grid_defaults_are_the_default_grid(argv, tmp_path, capsys):
+    # without --grid and --extent the table is written on numerics' default grid
+    default, given = tmp_path / "default.csv", tmp_path / "given.csv"
+    grid = [f"--grid={numerics.DEFAULT_COUNT}", f"--extent={numerics.DEFAULT_EXTENT!r}"]
+    assert run([a.format(out=default) for a in argv]) == 0
+    assert run([a.format(out=given) for a in argv] + grid) == 0
+    assert default.read_bytes() == given.read_bytes()
 
 
 class TestExtent:
@@ -323,6 +339,18 @@ class TestParton:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.endswith("coupledosc: error: --rescale needs --overlay\n")
+        assert not out.exists()
+
+    def test_n_with_overlay_is_usage_error(self, tmp_path, capsys):
+        # --n sizes the export alone; with --overlay it would be dropped unread
+        ov, out = tmp_path / "ov.csv", tmp_path / "o.csv"
+        ov.write_text("x,value\n0,1\n1,2\n", encoding="utf-8", newline="")
+        with pytest.raises(SystemExit) as exc:
+            run(["parton", "--eta=1", f"--overlay={ov}", "--n=5", f"--out={out}"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith("coupledosc: error: --n sizes the export without --overlay\n")
         assert not out.exists()
 
 

@@ -221,6 +221,26 @@ def test_count_guard_runs_without_numpy(call, message, tmp_path):
     assert not (tmp_path / "p.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "eta, error",
+    [("float('nan')", "ValueError: eta must be finite"),
+     ("800.0", "EtaRangeError: |eta| = 800 overflows psi_eta; the usable range is |eta| <= 709.78")],
+    ids=["nan", "800"],
+)
+def test_ground_state_checks_eta_before_numpy(eta, error):
+    script = (
+        "import sys\n"
+        "from coupledosc.oscillator import ground_state\n"
+        "try:\n"
+        f"    ground_state(0.0, 0.0, {eta})\n"
+        "except ValueError as exc:\n"
+        "    print(f'{type(exc).__name__}: {exc}')\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    out = _python("-c", script)
+    assert (out.returncode, out.stdout, out.stderr) == (0, f"{error}\nFalse\n", "")
+
+
 def test_numpy_commands_still_need_numpy():
     # the block is real: a command that uses numpy fails under it
     blocked = _python("-c", MAIN, "block", "entangle", "--eta=1")

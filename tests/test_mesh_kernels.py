@@ -1,6 +1,6 @@
 """The squeezed-Gaussian kernels against the expressions they replaced, bit for bit.
 
-boosted_wavefunction and squeezed_gaussian form their mesh in place in their
+boosted_wavefunction and ground_state form their mesh in place in their
 result. Each node must still take the operations of the one-line expressions
 below, in their order, on every shape: the references are those expressions as
 the package wrote them before, and the kernels must match them by int64 view
@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from coupledosc.covariant import boosted_wavefunction
-from coupledosc.numerics import squeezed_gaussian
+from coupledosc.oscillator import ground_state
 
 SQRT2 = math.sqrt(2.0)
 
@@ -37,7 +37,7 @@ def reference_squeezed(x1, x2, eta):
     return out if out.ndim else float(out)
 
 
-KERNELS = [(boosted_wavefunction, reference_boosted), (squeezed_gaussian, reference_squeezed)]
+KERNELS = [(boosted_wavefunction, reference_boosted), (ground_state, reference_squeezed)]
 ETAS = [0.0, 0.44, -0.44, 2.0, -2.0, 709.7, -709.7]
 N = 201  # an N x N mesh is past numpy's 256 KiB threshold for reusing temporaries
 
@@ -115,4 +115,4 @@ def test_0d_input_has_the_arrays_bits(eta):
     split = [v for v in rounded_apart if reference_squeezed(v, 0.0, eta) != reference_squeezed([v], 0.0, eta)[0]]
     assert split, "no point where pow and the square give different psi"
     for v in split:
-        same_bits(squeezed_gaussian(v, 0.0, eta), float(squeezed_gaussian(np.array([v]), 0.0, eta)[0]))
+        same_bits(ground_state(v, 0.0, eta), float(ground_state(np.array([v]), 0.0, eta)[0]))

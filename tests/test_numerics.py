@@ -267,6 +267,17 @@ class TestOracleKernel:
         phi0 = hermite_fn(0, g.nodes)
         assert np.max(np.abs(kern.values - np.outer(phi0, phi0))) < 1e-12
 
+    def test_tabulates_the_ground_state_once(self, monkeypatch):
+        # the oracle's table is oscillator.ground_state on the mesh, so a changed ground
+        # state reaches the kernel checks
+        calls, fn = [], oscillator.ground_state
+        monkeypatch.setattr(oscillator, "ground_state", lambda *a: calls.append(a) or fn(*a))
+        oracle_reduced_density(0.5)
+        [(x1, x2, eta)] = calls
+        nodes = default_grid().nodes
+        assert eta == 0.5
+        assert np.array_equal(x1, nodes[:, None]) and np.array_equal(x2, nodes[None, :])
+
     def test_flags_underresolved_grid(self):
         with pytest.raises(GridResolutionError):
             oracle_reduced_density(3.0)  # width 3.17 > 8/4 on the default grid
@@ -470,9 +481,9 @@ class TestEtaRange:
     @pytest.mark.parametrize(
         "call, limit, message",
         [
-            pytest.param(lambda e: numerics.squeezed_gaussian(0.5, 0.25, e), floats.EXP_ETA_MAX,
+            pytest.param(lambda e: oscillator.ground_state(0.5, 0.25, e), floats.EXP_ETA_MAX,
                          "|eta| = 709.783 overflows psi_eta; the usable range is |eta| <= 709.78",
-                         id="squeezed_gaussian"),
+                         id="ground_state"),
             pytest.param(lambda e: check_resolution(e, uniform_grid(3, 1e200))[0], floats.EXP_ETA_MAX,
                          "|eta| = 709.783 overflows the state width sqrt(e^|eta|/2); "
                          "the usable range is |eta| <= 709.78",

@@ -14,9 +14,9 @@ from coupledosc.numerics import (
     check_resolution,
     default_grid,
     oracle_reduced_density,
-    squeezed_gaussian,
     uniform_grid,
 )
+from coupledosc.oscillator import ground_state
 from coupledosc.parton import (
     OverlayParseError,
     OverlaySeries,
@@ -207,10 +207,10 @@ class TestBlockedReductions:
         "call, buffers",
         [
             (lambda x: covariant.boosted_wavefunction(x[:, None], x[None, :], 0.5), 3.2),
-            (lambda x: squeezed_gaussian(x[:, None], x[None, :], 0.5), 2.2),
+            (lambda x: ground_state(x[:, None], x[None, :], 0.5), 2.2),
             (lambda x: oracle_reduced_density(0.5), 2.2),
         ],
-        ids=["boosted_wavefunction", "squeezed_gaussian", "oracle_reduced_density"],
+        ids=["boosted_wavefunction", "ground_state", "oracle_reduced_density"],
     )
     def test_mesh_kernel_memory(self, call, buffers):
         # the kernels form their 401^2 mesh in place in their result: the light-cone route

@@ -1,7 +1,7 @@
 """Each piece of the numerical core is written once: guards over the source text.
 
 The squeezed Gaussian keeps exactly two routes, the (x1 +- x2) form in
-numerics.squeezed_gaussian and the light-cone form in
+oscillator.ground_state and the light-cone form in
 covariant.boosted_wavefunction. verify's cross_module_identity compares them,
 so they must stay apart, and neither may be copied elsewhere.
 """
@@ -17,7 +17,7 @@ from coupledosc import numerics
 SRC = Path(numerics.__file__).parent
 
 # code, not the formulas in docstrings: each pattern starts at an np./math. call, or
-# at the in-place scaling `*= -0.25` by which squeezed_gaussian forms the quarter form
+# at the in-place scaling `*= -0.25` by which ground_state forms the quarter form
 QUARTER_FORM = re.compile(r"\b(np|math)\.exp\(\s*-0\.25\s*\*|\*=\s*-0\.25\b")
 LIGHTCONE_FORM = re.compile(r"\b(np|math)\.exp\(\s*-?eta\s*\)\s*\*\s*(\w+)\s*\*\s*\2\b")
 RECURRENCE = re.compile(r"\b(np|math)\.sqrt\(\s*\w+(\.\d+)?\s*/\s*\(\s*\w+\s*\+\s*1(\.0)?\s*\)\s*\)")
@@ -44,7 +44,7 @@ def sites(pattern):
 @pytest.mark.parametrize(
     "pattern, home",
     [
-        (QUARTER_FORM, ("numerics.py", "squeezed_gaussian")),
+        (QUARTER_FORM, ("oscillator.py", "ground_state")),
         (LIGHTCONE_FORM, ("covariant.py", "boosted_wavefunction")),
         (RECURRENCE, ("numerics.py", "hermite_basis")),
         (OMEGA_CHECK, ("entanglement.py", "check_omega")),
