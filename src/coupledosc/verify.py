@@ -6,6 +6,8 @@ with tolerance 0). @check(tolerance, detail) registers a check_<name> in
 CHECKS in definition order; its body returns the deviation, or (deviation,
 detail) when the detail reports a measured value. The registry is what the
 CLI `verify` subcommand runs and what the acceptance tests assert piecewise.
+Each 2-D quantity is w @ M @ w on one tabulated mesh, in integrate_2d's order,
+and each Hermite row comes from one hermite_basis table.
 
 One check is an expected failure by design: schmidt_reconstruction keeps the
 uniform 1e-6 gate at eta = 2 even though the exact truncation tail of the
@@ -31,14 +33,7 @@ import numpy as np
 
 from . import covariant, entanglement, oscillator, parton
 from .floats import record
-from .numerics import (
-    default_grid,
-    hermite_basis,
-    hermite_fn,
-    integrate_2d,
-    oracle_reduced_density,
-    uniform_grid,
-)
+from .numerics import default_grid, hermite_basis, oracle_reduced_density, uniform_grid
 
 _SEED = 20260819
 
@@ -130,7 +125,9 @@ class _KernelReadings:
 def _kernel(eta: float) -> _KernelReadings:
     """The kernel checks' readings at eta; the 401^2 table is freed on return."""
     kern = oracle_reduced_density(eta)
-    fock = tuple(kern.fock_projection(k) for k in range(11))
+    # row k is what fock_projection(k) contracts with, so each reading keeps its bits
+    rows = hermite_basis(10, kern.grid.nodes) * kern.grid.weights
+    fock = tuple(float(phi @ kern.values @ phi) for phi in rows)
     return _KernelReadings(kern.trace(), kern.purity(), kern.asymmetry(), fock)
 
 
@@ -139,10 +136,10 @@ def _marginal(eta: float):
     return parton.longitudinal_density(eta)
 
 
-def _ground_state_mesh(eta: float) -> np.ndarray:
-    """The ground state on the default mesh, as integrate_2d would evaluate it."""
+def _mesh(wavefunction, eta: float) -> np.ndarray:
+    """wavefunction(x1, x2, eta) on the default mesh, x1 a column and x2 a row."""
     x = default_grid().nodes
-    return oscillator.ground_state(x[:, None], x[None, :], eta)
+    return wavefunction(x[:, None], x[None, :], eta)
 
 
 # --- numerics ---------------------------------------------------------------
@@ -176,8 +173,8 @@ def check_hermite_orthonormality_default():
 @check(1e-8, "norm of phi_128 via recurrence")
 def check_hermite_stability_k128():
     g = uniform_grid(count=1001, extent=20.0)
-    vals = hermite_fn(128, g.nodes)
-    return abs(float(g.weights @ (vals * vals)) - 1.0)
+    phi = hermite_basis(128, g.nodes)[128]
+    return abs(float(g.weights @ (phi * phi)) - 1.0)
 
 
 @check(1e-12)
@@ -193,7 +190,8 @@ def check_oracle_kernel_trace():
 @check(1e-6)
 def check_pure_state_idempotency():
     g = default_grid()
-    psi = (hermite_fn(0, g.nodes) + hermite_fn(1, g.nodes)) / math.sqrt(2.0)
+    phi = hermite_basis(1, g.nodes)
+    psi = (phi[0] + phi[1]) / math.sqrt(2.0)
     k = np.outer(psi, psi)
     k2 = (k * g.weights) @ k
     return _max_abs(k2, k)
@@ -235,15 +233,15 @@ def check_hamiltonian_form_equivalence():
 
 @check(1e-8)
 def check_ground_state_normalization():
+    w = default_grid().weights
     return max(
-        abs(integrate_2d(lambda a, b, e=e: oscillator.ground_state(a, b, e) ** 2) - 1.0)
-        for e in (0.0, 1.0, 2.0)
+        abs(float(w @ _mesh(oscillator.ground_state, e) ** 2 @ w) - 1.0) for e in (0.0, 1.0, 2.0)
     )
 
 
 @check(1e-15, "positive everywhere, peak 1/sqrt(pi)")
 def check_ground_state_peak_bound():
-    vals = _ground_state_mesh(1.5)
+    vals = _mesh(oscillator.ground_state, 1.5)
     bound = math.pi**-0.5
     return max(float(np.max(vals)) - bound, 0.0 if np.all(vals > 0.0) else 1.0)
 
@@ -251,9 +249,9 @@ def check_ground_state_peak_bound():
 @check(1e-14, "eta=0 factorizes into phi_0 phi_0")
 def check_separability_zero_coupling():
     x = np.linspace(-3, 3, 20)
-    x1, x2 = x[:, None], x[None, :]
-    product = hermite_fn(0, x1) * hermite_fn(0, x2)
-    return _max_abs(oscillator.ground_state(x1, x2, 0.0), product)
+    phi = hermite_basis(0, x)[0]
+    product = phi[:, None] * phi[None, :]
+    return _max_abs(oscillator.ground_state(x[:, None], x[None, :], 0.0), product)
 
 
 # --- entanglement -----------------------------------------------------------
@@ -273,7 +271,7 @@ def check_schmidt_vs_quadrature():
     g = default_grid()
     b = hermite_basis(10, g.nodes) * g.weights
     return max(
-        _max_abs(np.diag(b @ _ground_state_mesh(e) @ b.T),
+        _max_abs(np.diag(b @ _mesh(oscillator.ground_state, e) @ b.T),
                  entanglement.schmidt_coefficients(e, k_max=10).coefficients)
         for e in (0.5, 1.0)
     )
@@ -282,7 +280,7 @@ def check_schmidt_vs_quadrature():
 @check(1e-8, "expansion is diagonal in the Fock index")
 def check_schmidt_offdiagonal():
     g = default_grid()
-    rows, w, psi = hermite_basis(3, g.nodes), g.weights, _ground_state_mesh(1.0)
+    rows, w, psi = hermite_basis(3, g.nodes), g.weights, _mesh(oscillator.ground_state, 1.0)
     # w @ vals @ w in integrate_2d's order, so each projection keeps integrate_2d's bits
     return max(
         abs(w @ (rows[j][:, None] * rows[k] * psi) @ w)
@@ -499,9 +497,9 @@ def check_marginal_variance_law():
 
 @check(1e-6, "|psi|^2 mass inside the default box")
 def check_marginal_mass_containment():
+    w = default_grid().weights
     return max(
-        abs(integrate_2d(lambda a, b, e=e: covariant.boosted_wavefunction(a, b, e) ** 2) - 1.0)
-        for e in (0.0, 1.0, 2.0)
+        abs(float(w @ _mesh(covariant.boosted_wavefunction, e) ** 2 @ w) - 1.0) for e in (0.0, 1.0, 2.0)
     )
 
 

@@ -811,23 +811,35 @@ _OPTIONS = {
                  "--extent": (_FLOAT, False)},
     "boost": {"--eta": (_FLOAT, True), "--grid": (_count(41), True), "--extent": (_FLOAT, False),
               "--out": (_path("boost.csv"), True)},
-    "parton": {"--eta": (_FLOAT, True), "--n": (_count(101), False),
-               "--overlay": (_path("overlay.csv"), False),
+    "parton": {"--eta": (_FLOAT, True), "--overlay": (_path("overlay.csv"), False),
+               "--n": (_count(101), False),
                "--rescale": (st.tuples(_FLOAT, _FLOAT).map(",".join), False),
                "--out": (_path("parton.csv"), True)},
     "sweep": {"--start": (_FLOAT, True), "--stop": (_FLOAT, True), "--steps": (_count(31), True),
               "--omega": (_FLOAT, False), "--out": (_path("sweep.csv"), True)},
 }
 
+# options main() reads only with (True) or only without (False) an earlier one; each is
+# drawn only where it is read, so no example spends itself on those usage errors, which
+# the usage tests above cover
+_PAIRED = {("entangle", "--grid"): ("--kernel-csv", True),
+           ("entangle", "--extent"): ("--kernel-csv", True),
+           ("parton", "--n"): ("--overlay", False),
+           ("parton", "--rescale"): ("--overlay", True)}
+
 
 @st.composite
 def _argvs(draw):
     command = draw(st.sampled_from(sorted(_OPTIONS)))
-    argv = [command]
+    argv, given = [command], set()
     for name, (values, given_always) in _OPTIONS[command].items():
+        pair = _PAIRED.get((command, name))
+        if pair and (pair[0] in given) != pair[1]:
+            continue
         # a required option is left out now and then, for the usage error
         if draw(st.integers(0, 19)) < 19 if given_always else draw(st.booleans()):
             argv.append(f"{name}={draw(values)}")
+            given.add(name)
     if draw(st.integers(0, 9)) == 9:
         argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(["--bogus=1", "stray", "--eta"])))
     return argv, draw(st.sampled_from(_OVERLAYS))

@@ -15,7 +15,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from coupledosc import entanglement, oscillator, parton, verify
+from coupledosc import covariant, entanglement, numerics, oscillator, parton, verify
 from coupledosc.numerics import default_grid, hermite_fn, integrate_2d, oracle_reduced_density
 
 
@@ -96,10 +96,35 @@ def test_schmidt_offdiagonal_evaluates_the_ground_state_once(monkeypatch):
 
 @pytest.mark.parametrize("name", ["schmidt_vs_quadrature", "schmidt_offdiagonal"])
 def test_schmidt_checks_project_through_one_hermite_table(monkeypatch, name):
-    names = ("hermite_basis", "hermite_fn", "integrate_2d")
-    calls = {fn: count_calls(monkeypatch, verify, fn) for fn in names}
+    calls = {"hermite_basis": count_calls(monkeypatch, verify, "hermite_basis")}
+    calls.update((fn, count_calls(monkeypatch, numerics, fn)) for fn in ("hermite_fn", "integrate_2d"))
     getattr(verify, "check_" + name)()
     assert {fn: len(c) for fn, c in calls.items()} == {"hermite_basis": 1, "hermite_fn": 0, "integrate_2d": 0}
+
+
+def test_run_all_contracts_tables_not_integrands_rows_or_projections(monkeypatch):
+    # every 2-D quantity is contracted on a tabulated mesh and every Hermite row is read from
+    # a hermite_basis table, so numerics' per-integrand, per-row and per-k routes never run
+    assert not hasattr(verify, "integrate_2d") and not hasattr(verify, "hermite_fn")
+    calls = {fn: count_calls(monkeypatch, numerics, fn) for fn in ("integrate_2d", "hermite_fn")}
+    calls["fock_projection"] = count_calls(monkeypatch, numerics.DensityKernel, "fock_projection")
+    verify._kernel.cache_clear()
+    verify.run_all()
+    assert {fn: len(c) for fn, c in calls.items()} == dict.fromkeys(calls, 0)
+
+
+def test_mass_checks_give_the_bits_of_integrate_2d():
+    # the loops they replaced, with the wavefunction squared inside each integrand
+    normalization = max(
+        abs(integrate_2d(lambda a, b, e=e: oscillator.ground_state(a, b, e) ** 2) - 1.0)
+        for e in (0.0, 1.0, 2.0)
+    )
+    containment = max(
+        abs(integrate_2d(lambda a, b, e=e: covariant.boosted_wavefunction(a, b, e) ** 2) - 1.0)
+        for e in (0.0, 1.0, 2.0)
+    )
+    assert verify.check_ground_state_normalization().deviation == normalization
+    assert verify.check_marginal_mass_containment().deviation == containment
 
 
 def test_schmidt_vs_quadrature_deviation_ignores_the_blas_thread_count():
