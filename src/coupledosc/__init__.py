@@ -27,7 +27,7 @@ _EXPORTS = {
     ),
     "numerics": (
         "DensityKernel", "GridResolutionError", "QuadratureGrid", "default_grid", "hermite_fn",
-        "integrate_1d", "integrate_2d", "oracle_reduced_density", "uniform_grid",
+        "integrate_2d", "oracle_reduced_density", "uniform_grid",
     ),
     "oscillator": (
         "CoupledParams", "NormalModeData", "UnstablePotentialError", "from_normal", "ground_state",

@@ -120,6 +120,7 @@ def hermite_fn(k: int, x):
 
     Row k of hermite_basis on the flattened points, so both share one
     recurrence and its size cap. Stable and accurate for k up to at least 128.
+    Nothing in the package calls it: it is the tests' reference route, and the benchmark tracer wraps it.
     """
     k = check_count(k, "k", 0)
     xa = floats.as_floats(x, "x")
@@ -154,18 +155,10 @@ def hermite_basis(k_max: int, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def integrate_1d(f: Callable, grid: QuadratureGrid | None = None) -> float:
-    """Trapezoid integral of a vectorized integrand over the grid."""
-    g = grid if grid is not None else default_grid()
-    vals = floats.as_floats(f(g.nodes), "the integrand's values")
-    if vals.shape != g.nodes.shape:
-        raise ValueError("integrand must return one value per node")
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _finite_integral(float(g.weights @ vals), vals)
-
-
 def integrate_2d(f: Callable, grid: QuadratureGrid | None = None) -> float:
-    """Tensor-product trapezoid integral of f(x, y) on the grid squared (x a column, y a row)."""
+    """Tensor-product trapezoid integral of f(x, y) on the grid squared (x a column, y a row).
+
+    Nothing in the package calls it: it is the tests' reference route, and the benchmark tracer wraps it."""
     g = grid if grid is not None else default_grid()
     x = g.nodes
     vals = floats.as_floats(f(x[:, None], x[None, :]), "the integrand's values")
@@ -174,17 +167,11 @@ def integrate_2d(f: Callable, grid: QuadratureGrid | None = None) -> float:
     except ValueError:
         raise ValueError("integrand must return one value per mesh point") from None
     with np.errstate(over="ignore", invalid="ignore"):
-        return _finite_integral(float(g.weights @ vals @ g.weights), vals)
-
-
-def _finite_integral(total: float, vals: np.ndarray) -> float:
-    """The contracted sum, or a ValueError naming why it is not finite.
-
-    The weights are positive, so a non-finite value in vals always makes the
-    sum non-finite: vals is scanned only on that branch.
-    """
+        total = float(g.weights @ vals @ g.weights)
     if math.isfinite(total):
         return total
+    # the weights are positive, so a non-finite value always makes the sum non-finite:
+    # the values are scanned only on this branch
     if not np.all(np.isfinite(vals)):
         raise ValueError("integrand returned non-finite values")
     raise ValueError("the integral overflows the float range; scale the integrand down")
@@ -209,17 +196,12 @@ class DensityKernel:
         w = self.grid.weights
         return float(w @ ((self.values * self.values.T) @ w))
 
-    def fock_projection(self, k: int) -> float:
-        """<phi_k| rho |phi_k> by double quadrature."""
-        phi = hermite_fn(k, self.grid.nodes) * self.grid.weights
-        return float(phi @ self.values @ phi)
-
     def asymmetry(self) -> float:
         diff = self.values - self.values.T
         return float(np.max(np.abs(diff, out=diff)))
 
     def to_csv(self, path) -> None:
-        """Write (x, x_prime, value) triples for debugging."""
+        """Write (x, x_prime, value) triples: the table of entangle --kernel-csv."""
         x = self.grid.nodes
         write_csv(path, ("x", "x_prime", "value"), (x[:, None], x[None, :], self.values))
 

@@ -125,7 +125,7 @@ class _KernelReadings:
 def _kernel(eta: float) -> _KernelReadings:
     """The kernel checks' readings at eta; the 401^2 table is freed on return."""
     kern = oracle_reduced_density(eta)
-    # row k is what fock_projection(k) contracts with, so each reading keeps its bits
+    # row k is what fock_projection(kern, k) in tests/reference.py contracts with: the same bits
     rows = hermite_basis(10, kern.grid.nodes) * kern.grid.weights
     fock = tuple(float(phi @ kern.values @ phi) for phi in rows)
     return _KernelReadings(kern.trace(), kern.purity(), kern.asymmetry(), fock)

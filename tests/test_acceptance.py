@@ -16,6 +16,7 @@ import pytest
 
 from coupledosc import cli, covariant, entanglement, oscillator, parton
 from coupledosc.numerics import oracle_reduced_density
+from reference import fock_projection
 
 SEED = 20260819
 
@@ -70,7 +71,7 @@ def test_criterion_04_reduced_density_oracle():
         kern = oracle_reduced_density(eta)
         p = entanglement.reduced_state(eta, k_max=10).eigenvalues
         for k in range(11):
-            dev = max(dev, abs(kern.fock_projection(k) - p[k]))
+            dev = max(dev, abs(fock_projection(kern, k) - p[k]))
         trace_dev = max(trace_dev, abs(kern.trace() - 1.0))
     ok = dev < tol and trace_dev < 1e-7
     assert _report(

@@ -831,15 +831,20 @@ _PAIRED = {("entangle", "--grid"): ("--kernel-csv", True),
 @st.composite
 def _argvs(draw):
     command = draw(st.sampled_from(sorted(_OPTIONS)))
-    argv, given = [command], set()
+    drawn = {}
     for name, (values, given_always) in _OPTIONS[command].items():
         pair = _PAIRED.get((command, name))
-        if pair and (pair[0] in given) != pair[1]:
+        if pair and (pair[0] in drawn) != pair[1]:
             continue
         # a required option is left out now and then, for the usage error
         if draw(st.integers(0, 19)) < 19 if given_always else draw(st.booleans()):
-            argv.append(f"{name}={draw(values)}")
-            given.add(name)
+            drawn[name] = draw(values)
+    # sweep's bounds are drawn apart; where both parse and the start lies past the stop they
+    # are swapped, as that usage error is the sweep usage test's to cover
+    with contextlib.suppress(KeyError, ValueError):
+        if float(drawn["--start"]) > float(drawn["--stop"]):
+            drawn["--start"], drawn["--stop"] = drawn["--stop"], drawn["--start"]
+    argv = [command] + [f"{name}={value}" for name, value in drawn.items()]
     if draw(st.integers(0, 9)) == 9:
         argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(["--bogus=1", "stray", "--eta"])))
     return argv, draw(st.sampled_from(_OVERLAYS))

@@ -83,7 +83,6 @@ WALK = {
     "QuadratureGrid": (numerics.QuadratureGrid, (0.5,) * 4, STORES),
     "default_grid": (numerics.default_grid, (), FINITE),
     "hermite_fn": (numerics.hermite_fn, (3, 0.3), FINITE),
-    "integrate_1d": (lambda v: numerics.integrate_1d(lambda x: [v] * x.size), (0.5,), FINITE),
     "integrate_2d": (lambda v: numerics.integrate_2d(lambda a, b: v), (0.5,), FINITE),
     "oracle_reduced_density": (numerics.oracle_reduced_density, (0.5,), FINITE),
     "uniform_grid": (numerics.uniform_grid, (5, 2.0), FINITE),

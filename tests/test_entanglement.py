@@ -17,6 +17,7 @@ from coupledosc.entanglement import (
 )
 from coupledosc.numerics import oracle_reduced_density
 from coupledosc.oscillator import ground_state
+from reference import fock_projection
 
 # frozen reference values at eta = 1
 C0_1 = 0.886818883970074
@@ -106,7 +107,7 @@ class TestReducedState:
         kern = oracle_reduced_density(1.0)
         p = reduced_state(1.0, k_max=10).eigenvalues
         for k in range(11):
-            assert_allclose(kern.fock_projection(k), p[k], atol=1e-10)
+            assert_allclose(fock_projection(kern, k), p[k], atol=1e-10)
 
 
 class TestPurity:

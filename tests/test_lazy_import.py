@@ -259,7 +259,7 @@ def test_public_name_resolves_to_its_definition(name):
 
 def test_public_names_are_sorted_and_complete():
     assert coupledosc.__all__ == sorted(set(coupledosc.__all__))
-    assert len(coupledosc.__all__) == 47
+    assert len(coupledosc.__all__) == 46
 
 
 def test_submodules_resolve_on_a_bare_import():

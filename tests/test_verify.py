@@ -11,12 +11,14 @@ import platform
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from coupledosc import covariant, entanglement, numerics, oscillator, parton, verify
 from coupledosc.numerics import default_grid, hermite_fn, integrate_2d, oracle_reduced_density
+from reference import fock_projection
 
 
 @pytest.fixture(scope="module")
@@ -49,6 +51,16 @@ def test_run_all_runs_entries_replaced_in_place(registry, results):
         registry[i] = lambda result=result: ran.append(result.name) or result
     assert verify.run_all() == results
     assert ran == [r.name for r in results]
+
+
+def test_benchmark_tracer_finds_every_check_and_traced_function():
+    # bench/tracer.py raises when a verify check or a layer function it wraps is renamed or
+    # removed, so deleting a name the benchmark traces fails here, not in a benchmark run
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "bench/tracer.py", "--check"], cwd=root, env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_lightcone_concentration_detail_carries_the_fraction():
@@ -104,10 +116,11 @@ def test_schmidt_checks_project_through_one_hermite_table(monkeypatch, name):
 
 def test_run_all_contracts_tables_not_integrands_rows_or_projections(monkeypatch):
     # every 2-D quantity is contracted on a tabulated mesh and every Hermite row is read from
-    # a hermite_basis table, so numerics' per-integrand, per-row and per-k routes never run
+    # a hermite_basis table, so numerics' per-integrand and per-row routes never run; the
+    # per-k projection is no longer in the package, only in tests/reference.py
     assert not hasattr(verify, "integrate_2d") and not hasattr(verify, "hermite_fn")
+    assert not hasattr(numerics.DensityKernel, "fock_projection")
     calls = {fn: count_calls(monkeypatch, numerics, fn) for fn in ("integrate_2d", "hermite_fn")}
-    calls["fock_projection"] = count_calls(monkeypatch, numerics.DensityKernel, "fock_projection")
     verify._kernel.cache_clear()
     verify.run_all()
     assert {fn: len(c) for fn, c in calls.items()} == dict.fromkeys(calls, 0)
@@ -183,7 +196,7 @@ def test_kernel_readings_are_the_methods_bits(eta):
     assert repr(r.trace) == repr(kern.trace())
     assert repr(r.purity) == repr(kern.purity())
     assert repr(r.asymmetry) == repr(kern.asymmetry())
-    assert repr(r.fock) == repr(tuple(kern.fock_projection(k) for k in range(11)))
+    assert repr(r.fock) == repr(tuple(fock_projection(kern, k) for k in range(11)))
 
 
 def test_kernel_checks_keep_the_deviations_of_the_method_calls():
@@ -195,7 +208,7 @@ def test_kernel_checks_keep_the_deviations_of_the_method_calls():
     for e in (0.5, 1.0, 2.0):
         p = entanglement.reduced_state(e, k_max=10).eigenvalues
         for k in range(11):
-            dev = max(dev, abs(kern[e].fock_projection(k) - p[k]))
+            dev = max(dev, abs(fock_projection(kern[e], k) - p[k]))
     assert verify.check_reduced_eigenvalues_vs_oracle().deviation == dev
     assert verify.check_purity_closed_vs_grid().deviation == max(
         abs(entanglement.purity(e) - kern[e].purity()) for e in KERNEL_ETAS)
