@@ -6,7 +6,12 @@ every file goes through one sink, floats.write_text. Every CSV is UTF-8 with LF
 line endings and a header row: numerics.write_csv writes the array tables and
 entanglement.write_sweep the sweep's rows, and _emit_json rounds every JSON float
 through format_floats.
-Every command is deterministic: the same invocation produces the same bytes.
+Every command is deterministic: the same invocation produces the same bytes
+for one numpy version, one SIMD dispatch set and one BLAS thread count. At 1
+and 2 OpenBLAS threads verify --out first differs at line 13, and the kernel
+CSV too (ROADMAP item 2); with numpy's AVX-512 loops disabled, verify --out,
+boost, the kernel CSV and the parton export move in their last digit (ROADMAP
+item 7).
 Each command imports what it runs, so modes, sweep, --help and usage errors
 start without numpy. entangle runs every check on its input first and loads
 numpy only in the array functions, after their guards, so each entangle input

@@ -289,12 +289,16 @@ def thermal_entropy(x: float) -> float:
 
     S(x) = x/(e^x - 1) - ln(1 - e^{-x}); diverges as x -> 0+, vanishes as
     x -> infinity. Composing with the map above reproduces entropy(eta) exactly.
-    For x from about 30 up to 700, -log(-expm1(-x)) loses the -ln(1 - e^{-x})
-    term: thermal_entropy(50) is 9.64374923981959e-21, where the value is
-    51e^{-50} = 9.83662422461598e-21 (-1.96%), and at x = 37 it is +0.79% off.
-    entropy(eta) is right, and effective_temperature gives such an x only for
-    |eta| <~ 6e-7. The fix moves the thermal_zero_temperature_limit deviation,
-    so it waits for the next change of the benchmark's recorded digests.
+    Below 700, -log(-expm1(-x)) loses the -ln(1 - e^{-x}) term as x grows. The
+    relative error against a 400-digit evaluation is within 1e-12 up to x ~ 12
+    and measures
+        x      10       12       20       30      37      50      100     300     699
+        error  1.2e-14  1.8e-13  -9.5e-10 5.4e-6  +0.79%  -1.96%  -0.99%  -0.33%  -0.14%
+    so thermal_entropy(50) is 9.64374923981959e-21, where the value is 51e^{-50}
+    = 9.83662422461598e-21. entropy(eta) is right, and effective_temperature
+    gives an x of 10 or more only for |eta| <~ 0.013, and of 30 only for |eta| <~
+    6e-7. The fix, -log1p(-exp(-x)), moves the thermal_zero_temperature_limit
+    deviation, so it waits for the next change of the benchmark's recorded digests.
     """
     x = as_float(x)
     if math.isnan(x) or x <= 0.0:

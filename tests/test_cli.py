@@ -3,7 +3,6 @@ import io
 import json
 import math
 import os
-import subprocess
 import sys
 import tempfile
 import warnings
@@ -14,6 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import fresh
 from coupledosc import cli, entanglement, numerics
 
 
@@ -90,6 +90,13 @@ class TestEntangle:
         k, p = lines[1].split(",")
         assert k == "0"
         assert_allclose(float(p), 0.7864477329659275, rtol=1e-14)
+
+    def test_k_column_is_plain_digits(self, tmp_path, capsys):
+        # k is cast to float64 beside p_k and rendered as %.15g, which prints a whole number bare
+        out = tmp_path / "weights.csv"
+        assert run(["entangle", "--eta=0.5", "--kmax=300", f"--csv={out}"]) == 0
+        k = [line.split(",")[0] for line in out.read_text(encoding="utf-8").splitlines()]
+        assert k == ["k"] + [str(i) for i in range(301)]
 
     def test_kernel_csv(self, tmp_path, capsys):
         out = tmp_path / "kern.csv"
@@ -626,8 +633,7 @@ def test_cli_import_leaves_verify_unloaded():
         "import sys, coupledosc.cli; "
         "print(sorted(m for m in sys.modules if m == 'numpy' or m.startswith('coupledosc')))"
     )
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    out = fresh.python("-c", code, check=True)
     assert out.stdout.strip() == "['coupledosc', 'coupledosc.cli']"
 
 
@@ -637,8 +643,7 @@ def test_verify_leaves_cli_unloaded():
         "import sys, coupledosc.verify as v; v.run_all(); "
         "print('coupledosc.cli' in sys.modules)"
     )
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    out = fresh.python("-c", code, check=True)
     assert out.stdout.strip() == "False"
 
 

@@ -18,12 +18,14 @@ from pathlib import Path
 
 import pytest
 
+import fresh
 from coupledosc import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "coupledosc"
-# a fixed help width, so argparse wraps the same way in both processes
-ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), COLUMNS="80")
+# a fixed help width, so argparse wraps the same way in both processes, and no
+# PYTHONUNBUFFERED, so a child's stdout is block-buffered into its pipe
+ENV = dict({k: v for k, v in fresh.ENV.items() if k != "PYTHONUNBUFFERED"}, COLUMNS="80")
 OVERLAY = "x,value\n0,1\n1,2\n2,3\n"
 
 # argv and exit code, one per subcommand and path; the overlay file is in the working directory
@@ -43,14 +45,29 @@ CASES = {
     "help": (["--help"], 0),
 }
 
+# the tables at export size, the overlay a 100,000-row ov.in, so the joined table is three
+# full columns and no axis; and the boosts whose exponents overflow at the mesh corners
+EXPORTS = {
+    "boost": ["boost", "--eta=0.44", "--out=boost.csv"],
+    "kernel": ["entangle", "--eta=-0.65", "--kernel-csv=kernel.csv"],
+    "parton": ["parton", "--eta=-0.66", "--n=100001", "--out=parton.csv"],
+    "joined": ["parton", "--eta=0.7", "--overlay=ov.in", "--rescale=-0.25,1.5", "--out=joined.csv"],
+    "sweep": ["sweep", "--start=0.99", "--stop=2.87", "--steps=10001", "--out=sweep.csv"],
+    # one-word axis cells, and a 301-row integer column cast to float64 and rendered as %.15g
+    "axes": ["boost", "--eta=0.3", "--grid=41", "--extent=3", "--out=axes.csv"],
+    "weights": ["entangle", "--eta=0.5", "--kmax=300", "--csv=weights.csv"],
+    "boost-eta-709.7": ["boost", "--eta=709.7", "--grid=41", "--out=b1.csv"],
+    "boost-eta--709.7": ["boost", "--eta=-709.7", "--grid=41", "--out=b2.csv"],
+}
+
 
 def _files(directory):
     return sorted((f.name, f.read_bytes()) for f in directory.iterdir())
 
 
-def _workdir(path):
+def _workdir(path, overlay):
     path.mkdir()
-    (path / "ov.in").write_text(OVERLAY, encoding="utf-8")
+    (path / "ov.in").write_text(overlay, encoding="utf-8")
     return path
 
 
@@ -63,24 +80,39 @@ def _in_process(argv, capsys):
     return code, out, err
 
 
-def _child(argv, cwd, env=ENV, **kwargs):
-    return subprocess.run(
-        [sys.executable, "-m", "coupledosc.cli", *argv],
-        cwd=cwd, env=env, capture_output=True, text=True, timeout=120, **kwargs,
-    )
+def _runs(argv, tmp_path, monkeypatch, capsys, *flags, overlay=OVERLAY):
+    """(exit code, stdout, stderr, files) of main(argv), then of a fresh process, each in its own cwd."""
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.chdir(_workdir(tmp_path / "inproc", overlay))
+    inproc = _in_process(argv, capsys) + (_files(tmp_path / "inproc"),)
+    child = fresh.cli(argv, *flags, cwd=_workdir(tmp_path / "child", overlay), env=ENV)
+    return inproc, (child.returncode, child.stdout, child.stderr, _files(tmp_path / "child"))
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_fresh_process_matches_main(name, tmp_path, monkeypatch, capsys):
     argv, code = CASES[name]
-    monkeypatch.setenv("COLUMNS", "80")
-    monkeypatch.chdir(_workdir(tmp_path / "inproc"))
-    inproc = _in_process(argv, capsys) + (_files(tmp_path / "inproc"),)
-    child = _child(argv, _workdir(tmp_path / "child"))
-    fresh = (child.returncode, child.stdout, child.stderr, _files(tmp_path / "child"))
-    assert fresh == inproc
-    assert child.returncode == code
-    assert "Traceback" not in child.stderr
+    inproc, child = _runs(argv, tmp_path, monkeypatch, capsys)
+    assert child == inproc
+    assert child[0] == code
+    assert "Traceback" not in child[2]
+
+
+@pytest.fixture(scope="module")
+def big_overlay():
+    rows = (f"{i * 6e-5 - 3:.15g},{(i * 7919 % 10007) / 16678:.15g}\n" for i in range(100_000))
+    return "x,value\n" + "".join(rows)
+
+
+@pytest.mark.parametrize("name", sorted(EXPORTS))
+def test_export_matches_main_under_w_error(name, big_overlay, tmp_path, monkeypatch, capsys):
+    # write_csv assembles each block of about 4096 values in one table, in place, and the
+    # mesh kernels ignore overflow only around the products that may overflow; under
+    # -W error a warning from any other step ends the fresh process with an error
+    overlay = big_overlay if name == "joined" else OVERLAY
+    inproc, child = _runs(EXPORTS[name], tmp_path, monkeypatch, capsys, "-W", "error", overlay=overlay)
+    assert child == inproc
+    assert child[0] == 0
 
 
 @pytest.mark.parametrize("kmax", [100_000, 8])
@@ -88,8 +120,7 @@ def test_block_buffered_pipe_gets_every_byte(kmax, tmp_path, capsys):
     # without PYTHONUNBUFFERED stdout is block-buffered into the pipe; a JSON
     # smaller than the buffer reaches the reader only through run()'s flush
     argv = ["entangle", "--eta=1", f"--kmax={kmax}"]
-    env = {k: v for k, v in ENV.items() if k != "PYTHONUNBUFFERED"}
-    child = _child(argv, tmp_path, env=env)
+    child = fresh.cli(argv, cwd=tmp_path, env=ENV)
     assert (child.returncode, child.stdout, child.stderr) == _in_process(argv, capsys)
     assert len(json.loads(child.stdout)["coeffs"]) == kmax + 1
 
@@ -134,7 +165,7 @@ def test_every_file_is_closed_before_main_returns(name, tmp_path, monkeypatch, c
     # os._exit closes no Python file object, so an unclosed one could lose bytes
     leaks = []
     monkeypatch.setattr(sys, "unraisablehook", leaks.append)
-    monkeypatch.chdir(_workdir(tmp_path / "w"))
+    monkeypatch.chdir(_workdir(tmp_path / "w", OVERLAY))
     with warnings.catch_warnings():
         warnings.simplefilter("error", ResourceWarning)
         cli.main(CASES[name][0])
@@ -143,12 +174,12 @@ def test_every_file_is_closed_before_main_returns(name, tmp_path, monkeypatch, c
     assert [repr(leak.exc_value) for leak in leaks] == []
 
 
-def test_verify_reuses_the_running_module(tmp_path):
+def test_verify_reuses_the_running_module(verify_run):
     # under python -m, cli runs as __main__; verify must not load the front end,
     # which would compile and run cli.py a second time as coupledosc.cli
-    child = _child(["verify", "--out=r.json"], tmp_path, env=dict(ENV, PYTHONPROFILEIMPORTTIME="1"))
+    child = verify_run[0]
     assert child.returncode == 1
-    imported = re.findall(r"^import time:.*\|\s*(\S+)$", child.stderr, re.M)
+    imported = fresh.imported(child.stderr)
     assert "coupledosc.verify" in imported
     assert "coupledosc.cli" not in imported
 

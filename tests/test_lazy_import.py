@@ -1,15 +1,12 @@
 """The package loads each module on first use, so some commands run without numpy."""
 
 import importlib
-import os
-import subprocess
-import sys
 
 import pytest
 
 import coupledosc
+import fresh
 
-ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
 # runs cli.main on argv; with "block", importing numpy raises ImportError
 MAIN = (
     "import sys\n"
@@ -34,12 +31,6 @@ OVERLAYS = {
 }
 
 
-def _python(*args, cwd=None):
-    return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, env=ENV, timeout=60, cwd=cwd
-    )
-
-
 @pytest.mark.parametrize(
     "argv, code",
     [
@@ -50,7 +41,10 @@ def _python(*args, cwd=None):
         pytest.param(["modes", "--m=1"], 2, id="missing-option"),
         pytest.param(["sweep", "--start=0", "--stop=1", "--steps=0", "--out=never.csv"], 1, id="zero-steps"),
         pytest.param(["frobnicate"], 2, id="unknown-command"),
+        pytest.param(["modes", "--m=1", "--A=5", "--C=-3", "--out=m.json"], 0, id="modes-out"),
         pytest.param(["sweep", "--start=-1", "--stop=2", "--steps=5", "--out=s.csv"], 0, id="sweep"),
+        pytest.param(["sweep", "--start=0.99", "--stop=2.87", "--steps=10001", "--out=s.csv"], 0,
+                     id="sweep-10001"),
         pytest.param(["sweep", "--start=-0.0", "--stop=0", "--steps=1", "--out=s.csv"], 0,
                      id="sweep-signed-zero"),
         pytest.param(["sweep", "--start=0", "--stop=5", "--steps=3", "--omega=1e308", "--out=s.csv"], 1,
@@ -64,6 +58,7 @@ def _python(*args, cwd=None):
         pytest.param(["entangle", "--eta=-1500"], 1, id="entangle-eta-past-schmidt"),
         pytest.param(["entangle", "--eta=nan"], 1, id="entangle-eta-nan"),
         pytest.param(["entangle", "--eta=1", "--kmax=-1"], 1, id="entangle-negative-kmax"),
+        pytest.param(["entangle", "--eta=nan", "--kmax=-1"], 1, id="entangle-eta-before-kmax"),
         pytest.param(["entangle", "--eta=1", "--kmax=200000"], 1, id="entangle-kmax-past-cap"),
         pytest.param(["entangle", "--eta=800", "--kmax=200000"], 1, id="entangle-kmax-before-spectrum"),
         pytest.param(["entangle", "--eta=800", "--omega=-1"], 1, id="entangle-eta-before-omega"),
@@ -81,6 +76,12 @@ def _python(*args, cwd=None):
         pytest.param(["parton", "--eta=1", "--n=99999999", "--out=o.csv"], 1, id="parton-n-past-cap"),
         pytest.param(["parton", "--eta=nan", "--out=o.csv"], 1, id="parton-eta-nan"),
         pytest.param(["parton", "--eta=800", "--out=o.csv"], 1, id="parton-eta-800"),
+        # and so is each flag that would be dropped unread
+        pytest.param(["parton", "--eta=1", "--rescale=0,2", "--n=5", "--out=r.csv"], 2,
+                     id="parton-rescale-without-overlay"),
+        pytest.param(["parton", "--eta=1", "--overlay=three-fields.csv", "--n=5", "--out=n.csv"], 2,
+                     id="parton-n-with-overlay"),
+        pytest.param(["entangle", "--eta=1", "--grid=41"], 2, id="entangle-grid-without-kernel-csv"),
     ],
 )
 def test_runs_without_numpy(argv, code, tmp_path):
@@ -91,12 +92,21 @@ def test_runs_without_numpy(argv, code, tmp_path):
             if arg.startswith("--overlay="):
                 name = arg.removeprefix("--overlay=")
                 (tmp_path / mode / name).write_text(OVERLAYS[name], encoding="utf-8", newline="")
-        result = _python("-c", MAIN, mode, *argv, cwd=tmp_path / mode)
+        result = fresh.python("-c", MAIN, mode, *argv, cwd=tmp_path / mode)
         written = sorted((f.name, f.read_bytes()) for f in (tmp_path / mode).iterdir())
         runs[mode] = (result.returncode, result.stdout, result.stderr, written)
     assert runs["block"] == runs["normal"]
     assert runs["block"][0] == code
     assert "Traceback" not in runs["block"][2]
+
+
+def test_modes_out_writes_the_stdout_bytes_without_numpy(tmp_path):
+    # the text sink's path branch and the JSON float rounding need no numpy either
+    argv = ["modes", "--m=1", "--A=5", "--C=-3"]
+    stdout = fresh.python("-c", MAIN, "block", *argv, cwd=tmp_path)
+    to_file = fresh.python("-c", MAIN, "block", *argv, "--out=m.json", cwd=tmp_path)
+    assert (stdout.returncode, to_file.returncode, to_file.stdout) == (0, 0, "")
+    assert (tmp_path / "m.json").read_bytes() == stdout.stdout.encode()
 
 
 def test_sweep_leaves_numpy_unloaded(tmp_path):
@@ -106,7 +116,7 @@ def test_sweep_leaves_numpy_unloaded(tmp_path):
         "assert main(['sweep', '--start=0', '--stop=1', '--steps=5', '--out=s.csv']) == 0\n"
         "print('numpy' in sys.modules)\n"
     )
-    out = _python("-c", code, cwd=tmp_path)
+    out = fresh.python("-c", code, cwd=tmp_path)
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == ["False"]
     assert (tmp_path / "s.csv").read_text(encoding="utf-8").count("\n") == 6
@@ -120,7 +130,7 @@ def test_entangle_loads_numerics_only_for_a_table(csv, loaded, tmp_path):
         f"assert main(['entangle', '--eta=1', '--out=e.json', *{csv!r}]) == 0\n"
         "print('coupledosc.numerics' in sys.modules)\n"
     )
-    out = _python("-c", code, cwd=tmp_path)
+    out = fresh.python("-c", code, cwd=tmp_path)
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == [str(loaded)]
     assert (tmp_path / "p.csv").exists() == loaded
@@ -130,10 +140,11 @@ def test_entangle_loads_numerics_only_for_a_table(csv, loaded, tmp_path):
     "argv, code",
     [
         (["modes", "--m=1", "--A=5", "--C=-3"], 0),
+        (["modes", "--m=1", "--A=5", "--C=-3", "--out=modes.json"], 0),
         (["sweep", "--start=0", "--stop=1", "--steps=5", "--out=s.csv"], 0),
         (["entangle", "--eta=800"], 1),
     ],
-    ids=["modes", "sweep", "entangle-eta-800"],
+    ids=["modes", "modes-out", "sweep", "entangle-eta-800"],
 )
 def test_records_load_neither_dataclasses_nor_inspect(argv, code, tmp_path):
     # the result types are floats.record classes, so no command pays for these imports
@@ -143,34 +154,33 @@ def test_records_load_neither_dataclasses_nor_inspect(argv, code, tmp_path):
         f"assert main({argv!r}) == {code}\n"
         "print('dataclasses' in sys.modules, 'inspect' in sys.modules, file=sys.stderr)\n"
     )
-    out = _python("-c", script, cwd=tmp_path)
+    out = fresh.python("-c", script, cwd=tmp_path)
     assert out.returncode == 0, out.stderr
     assert out.stderr.splitlines()[-1].split() == ["False", "False"]
 
 
-def test_verify_loads_neither_numpy_random_nor_hashlib(tmp_path):
-    # the seeded checks draw numpy's stream from a pure-Python copy; numpy before
-    # 2.0 loads numpy.random on import, so only what verify adds to numpy counts
-    script = (
-        "import sys\n"
-        "import numpy\n"
-        "before = set(sys.modules)\n"
-        "from coupledosc.cli import main\n"
-        "assert main(['verify', '--out', 'report.json']) == 1\n"
-        "print(sorted({'numpy.random', 'secrets', 'hashlib'} & set(sys.modules) - before), file=sys.stderr)\n"
-    )
-    out = _python("-c", script, cwd=tmp_path)
-    assert out.returncode == 0, out.stderr
-    assert out.stderr.splitlines()[-1] == "[]"
-    assert (tmp_path / "report.json").exists()
+def test_verify_loads_neither_numpy_random_nor_hashlib(verify_run):
+    # schmidt_reconstruction fails by design, so verify exits 1 with 41 of 42 checks; under
+    # -W error a warning ends the run before its summary line, and -X importtime leaves
+    # stderr nothing but import lines. The seeded checks draw numpy's stream from a
+    # pure-Python copy, so no seed is hashed; numpy before 2.0 loads numpy.random on
+    # import, so only what verify loads beyond a bare numpy import counts
+    child, numpy, cwd = verify_run
+    assert (numpy.returncode, child.returncode) == (0, 1)
+    assert "(41/42 checks)" in child.stdout
+    assert [line for line in child.stderr.splitlines() if not line.startswith("import time:")] == []
+    added = fresh.imported(child.stderr) - fresh.imported(numpy.stderr)
+    assert sorted({"numpy.random", "_hashlib", "hashlib", "secrets", "coupledosc.cli"} & added) == []
+    assert (cwd / "report.json").exists()
 
 
 def test_parton_import_loads_neither_numpy_nor_numerics():
     # lightcone_fraction is the closed form erf(band e^{eta/2}), in math alone
-    out = _python("-c", "import sys, coupledosc.parton as p; p.lightcone_fraction(4.0); "
-                        "print('numpy' in sys.modules, 'coupledosc.numerics' in sys.modules)")
+    out = fresh.python("-c", "import math, sys, coupledosc.parton as p; p.lightcone_fraction(4.0); "
+                             "print(p.lightcone_fraction(0.0, 0.5) == math.erf(0.5), "
+                             "'numpy' in sys.modules, 'coupledosc.numerics' in sys.modules)")
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["False", "False"]
+    assert out.stdout.split() == ["True", "False", "False"]
 
 
 def test_small_overlay_loads_numpy_after_its_rows_pass(tmp_path):
@@ -192,7 +202,7 @@ def test_small_overlay_loads_numpy_after_its_rows_pass(tmp_path):
         f"series = parton.ingest_overlay({str(path)!r})\n"
         "print(series.x.size, 'coupledosc.numerics' in sys.modules, file=sys.stderr)\n"
     )
-    out = _python("-c", script)
+    out = fresh.python("-c", script)
     assert out.returncode == 0, out.stderr
     assert out.stderr.split() == [str(rows), str(rows), "False"]
 
@@ -216,7 +226,7 @@ def test_count_guard_runs_without_numpy(call, message, tmp_path):
         "except ValueError as exc:\n"
         "    print(exc)\n"
     )
-    out = _python("-c", script, cwd=tmp_path)
+    out = fresh.python("-c", script, cwd=tmp_path)
     assert (out.returncode, out.stdout, out.stderr) == (0, message + "\n", "")
     assert not (tmp_path / "p.csv").exists()
 
@@ -237,13 +247,13 @@ def test_ground_state_checks_eta_before_numpy(eta, error):
         "    print(f'{type(exc).__name__}: {exc}')\n"
         "print('numpy' in sys.modules)\n"
     )
-    out = _python("-c", script)
+    out = fresh.python("-c", script)
     assert (out.returncode, out.stdout, out.stderr) == (0, f"{error}\nFalse\n", "")
 
 
 def test_numpy_commands_still_need_numpy():
     # the block is real: a command that uses numpy fails under it
-    blocked = _python("-c", MAIN, "block", "entangle", "--eta=1")
+    blocked = fresh.python("-c", MAIN, "block", "entangle", "--eta=1")
     assert blocked.returncode != 0
     assert "numpy" in blocked.stderr
 
@@ -264,7 +274,7 @@ def test_public_names_are_sorted_and_complete():
 
 def test_submodules_resolve_on_a_bare_import():
     code = "import coupledosc, sys; print(coupledosc.numerics.__name__, 'numpy' in sys.modules)"
-    out = _python("-c", code)
+    out = fresh.python("-c", code)
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == ["coupledosc.numerics", "True"]
 

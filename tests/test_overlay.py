@@ -151,6 +151,19 @@ def test_a_row_after_a_field_over_two_lines_names_its_file_line(text, limit, tmp
             parton.ingest_overlay(path)
 
 
+def test_large_file_with_a_two_line_header_names_the_bad_row_on_the_cli(tmp_path, capsys):
+    # past LOOP_MAX_BYTES np.loadtxt reads the file first; a header the csv module reads
+    # from two lines and a malformed row hand it back to the row loop, which names the
+    # row's line in the file (the header is lines 1 and 2)
+    rows = "".join(f"{i},0.25\n" if i != 2500 else f"{i},abc\n" for i in range(4000))
+    path = write(tmp_path / "bad_overlay.csv", '"x\n",value\n' + rows)
+    assert path.stat().st_size > parton.LOOP_MAX_BYTES
+    out = tmp_path / "bad.csv"
+    assert cli.main(["parton", "--eta=0.7", f"--overlay={path}", f"--out={out}"]) == 1
+    assert capsys.readouterr() == ("", "coupledosc: error: line 2503: could not parse ['2500', 'abc']\n")
+    assert not out.exists()
+
+
 def test_huge_field_exits_1_on_the_cli(tmp_path, capsys):
     path = write(tmp_path / "ov.csv", CASES["huge_whitespace"])
     out = tmp_path / "out.csv"

@@ -8,7 +8,6 @@ numpy here.
 import math
 import os
 import platform
-import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
@@ -16,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import fresh
 from coupledosc import covariant, entanglement, numerics, oscillator, parton, verify
 from coupledosc.numerics import default_grid, hermite_fn, integrate_2d, oracle_reduced_density
 from reference import fock_projection
@@ -58,8 +58,7 @@ def test_benchmark_tracer_finds_every_check_and_traced_function():
     # removed, so deleting a name the benchmark traces fails here, not in a benchmark run
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    proc = subprocess.run([sys.executable, "bench/tracer.py", "--check"], cwd=root, env=env,
-                          capture_output=True, text=True)
+    proc = fresh.python("bench/tracer.py", "--check", cwd=root, env=env)
     assert proc.returncode == 0, proc.stderr
 
 
@@ -146,11 +145,34 @@ def test_schmidt_vs_quadrature_deviation_ignores_the_blas_thread_count():
     code = "from coupledosc import verify; print(repr(verify.check_schmidt_vs_quadrature().deviation))"
     outs = []
     for threads in ("1", "2"):
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path),
-                   OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+        env = dict(fresh.ENV, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        proc = fresh.python("-c", code, env=env, check=True)
         outs.append(proc.stdout)
     assert outs[0] == outs[1]
+
+
+# the measurement runs in a small interpreter: posix_spawn execs each child from its
+# parent's address space, so a child's peak RSS is at least its parent's, and pytest's
+# would hide verify's
+PEAK_RSS = (
+    "import os, sys\n"
+    "def peak_mb(*argv):\n"
+    "    out = [(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)]\n"
+    "    pid = os.posix_spawn(sys.executable, [sys.executable, *argv], os.environ, file_actions=out)\n"
+    "    return os.wait4(pid, 0)[2].ru_maxrss / 1024\n"
+    "print(peak_mb('-m', 'coupledosc.cli', 'verify', '--out', 'report_rss.json'), peak_mb('-c', 'import numpy'))\n"
+)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
+def test_verify_holds_one_density_kernel_at_a_time(tmp_path):
+    # the kernel checks keep four readings of each 401^2 table, not the table, so verify's
+    # peak RSS stays within 13 MB of a bare numpy import (about 10.5; 15.4 when all four
+    # tables stayed cached)
+    out = fresh.python("-c", PEAK_RSS, cwd=tmp_path)
+    assert out.returncode == 0, out.stderr
+    verify, numpy = map(float, out.stdout.split())
+    assert verify - numpy <= 13.0, f"max RSS: verify {verify:.2f} MB, import numpy {numpy:.2f} MB"
 
 
 def test_parton_checks_share_the_marginals(monkeypatch):
